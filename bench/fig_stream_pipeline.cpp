@@ -11,7 +11,7 @@
 // pipeline should be strictly better on the latter two, with wall time
 // approaching max(garble, transfer, eval) instead of their sum.
 //
-//   fig_stream_pipeline [rounds] [bits] [chunk_rounds] [queue_chunks]
+//   fig_stream_pipeline [rounds] [bits] [chunk_rounds]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,8 +40,7 @@ struct ModeResult {
 };
 
 ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
-                    std::size_t bits, std::size_t chunk_rounds,
-                    std::size_t queue_chunks) {
+                    std::size_t bits, std::size_t chunk_rounds) {
   net::ServerConfig scfg;
   scfg.port = 0;
   scfg.bits = bits;
@@ -49,12 +48,11 @@ ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
   scfg.max_sessions = 1;
   scfg.verbose = false;
   scfg.stream_chunk_rounds = chunk_rounds;
-  scfg.stream_queue_chunks = queue_chunks;
   scfg.bank_batch = 1;
   // Cold start either way: in precomputed mode the bank begins empty, so
   // the client's first table waits behind one full-session garble; in
   // stream mode the watermark of 0 keeps the bank precompute thread
-  // idle so it cannot steal cores from the streaming garbler.
+  // idle so it cannot steal cores from the session's inline garbling.
   scfg.bank_low_watermark =
       mode == net::SessionMode::kStream ? 0 : 1;
 
@@ -90,19 +88,16 @@ int main(int argc, char** argv) {
   const std::size_t bits = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16;
   const std::size_t chunk_rounds =
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 16;
-  const std::size_t queue_chunks =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 4;
-  if (rounds == 0 || bits == 0 || chunk_rounds == 0 || queue_chunks == 0) {
+  if (rounds == 0 || bits == 0 || chunk_rounds == 0) {
     std::fprintf(stderr,
-                 "usage: fig_stream_pipeline [rounds] [bits] [chunk_rounds] "
-                 "[queue_chunks]\n");
+                 "usage: fig_stream_pipeline [rounds] [bits] [chunk_rounds]\n");
     return 2;
   }
 
   bench::header("Garble-while-transfer streaming vs precomputed serving");
   std::printf("cold server, TCP loopback, IKNP OT, b=%zu, %zu rounds "
-              "(stream: %zu rounds/chunk, queue %zu chunks)\n\n",
-              bits, rounds, chunk_rounds, queue_chunks);
+              "(stream: %zu rounds/chunk)\n\n",
+              bits, rounds, chunk_rounds);
   std::printf("%-12s %12s %16s %16s %12s %12s %9s\n", "mode", "wall s",
               "first-table s", "peak res tables", "MAC/s", "bytes/MAC",
               "verified");
@@ -114,7 +109,7 @@ int main(int argc, char** argv) {
                                      net::SessionMode::kStream};
   const char* names[2] = {"precomputed", "stream"};
   for (int m = 0; m < 2; ++m) {
-    results[m] = run_mode(modes[m], rounds, bits, chunk_rounds, queue_chunks);
+    results[m] = run_mode(modes[m], rounds, bits, chunk_rounds);
     const ModeResult& r = results[m];
     std::printf("%-12s %12.3f %16.4f %16llu %12.0f %12.0f %9s\n", names[m],
                 r.wall_seconds, r.first_table_seconds,

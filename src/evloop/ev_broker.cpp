@@ -486,66 +486,25 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
 
 void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
   EvSession& s = c.session;
-  net::ServerStats local = s.stats();
+  const net::ServerStats local =
+      svc::record_session(metrics_, s, evicted_idle);
   if (s.done()) {
-    metrics_.histogram("handshake_seconds").observe(local.handshake_seconds);
-    metrics_.histogram("transfer_seconds").observe(local.transfer_seconds);
-    metrics_.histogram("ot_seconds").observe(local.ot_seconds);
-    metrics_.histogram("session_seconds").observe(s.session_seconds());
-    metrics_.counter("sessions_served").inc();
-    metrics_.counter("rounds_served").inc(local.rounds_served);
-    if (local.stream_sessions_served != 0) {
-      metrics_.counter("stream_sessions_served").inc();
-      metrics_.histogram("first_table_seconds")
-          .observe(local.first_table_seconds);
-    }
-    if (local.v3_sessions_served != 0)
-      metrics_.counter("v3_sessions_served").inc();
-    if (local.reusable_sessions_served != 0) {
-      metrics_.counter("reusable_sessions_served").inc();
+    if (local.reusable_sessions_served != 0)
       spool_.add_reusable_evaluations(reusable_key_,
                                       cfg_.rounds_per_session);
-    }
-    auto& peak = metrics_.gauge("peak_resident_tables");
-    if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
-      peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
-    const char* mode = s.mode_name();
-    metrics_.counter(std::string("net_tx_bytes_") + mode)
-        .inc(s.channel().bytes_sent());
-    metrics_.counter(std::string("net_rx_bytes_") + mode)
-        .inc(s.channel().bytes_received());
     const std::uint64_t total =
         sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cfg_.verbose)
       std::fprintf(stderr,
                    "[evbroker] shard %zu served session %llu (%s)\n",
-                   sh.index, static_cast<unsigned long long>(total), mode);
+                   sh.index, static_cast<unsigned long long>(total),
+                   s.mode_name());
     if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
-  } else if (evicted_idle) {
-    ++local.idle_timeouts;
-    ++local.connection_errors;
-    metrics_.counter("idle_timeouts").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
+  } else if (cfg_.verbose) {
+    if (evicted_idle)
       std::fprintf(stderr, "[evbroker] shard %zu evicted idle peer\n",
                    sh.index);
-  } else {
-    switch (s.error()) {
-      case EvError::kHandshake:
-        ++local.handshakes_rejected;
-        metrics_.counter("handshakes_rejected").inc();
-        break;
-      case EvError::kPeerClosed:
-        ++local.connection_errors;
-        metrics_.counter("peer_disconnects").inc();
-        metrics_.counter("connection_errors").inc();
-        break;
-      default:
-        ++local.connection_errors;
-        metrics_.counter("connection_errors").inc();
-        break;
-    }
-    if (cfg_.verbose)
+    else
       std::fprintf(stderr, "[evbroker] shard %zu session error: %s\n",
                    sh.index, s.error_text().c_str());
   }

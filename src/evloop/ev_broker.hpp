@@ -1,8 +1,8 @@
 // Sharded event-loop front: N single-threaded shards, each running an
 // EvLoop with its own SO_REUSEPORT listener, serving every session mode
-// through non-blocking EvSession machines instead of a
-// thread-per-connection worker pool. 10k concurrent sessions cost 10k
-// fds and state machines, not 10k stacks.
+// through the session core's event-loop driver (non-blocking EvSession
+// machines) instead of a thread-per-connection worker pool. 10k
+// concurrent sessions cost 10k fds and state machines, not 10k stacks.
 //
 // Shared state across shards (same objects the blocking svc::Broker
 // uses): one SessionSpool, one V3PoolRegistry (one garbling delta), one
@@ -21,8 +21,8 @@
 // Idle eviction: one timer wheel per shard, one armed timer per
 // connection, lazily re-armed against last-activity — 10k idle sessions
 // cost a wheel scan per tick, not 10k poll timeouts. An eviction counts
-// idle_timeouts + connection_errors, exactly like the blocking broker's
-// TimeoutError path.
+// idle_timeouts + connection_errors, exactly like a blocking session's
+// timeout (svc::record_session does the accounting for both brokers).
 #pragma once
 
 #include <atomic>

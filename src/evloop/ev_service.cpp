@@ -107,9 +107,6 @@ int evloop_command(int argc, char** argv) {
       cfg.allow_v3 = mc.v3;
       cfg.allow_reusable = mc.reusable;
     }
-    else if (flag == "--no-stream") cfg.allow_stream = false;
-    else if (flag == "--no-v3") cfg.allow_v3 = false;
-    else if (flag == "--no-reusable") cfg.allow_reusable = false;
     else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
     else if (flag == "--scheme") {
       const char* v = p.value();

@@ -7,6 +7,7 @@
 #include "proto/chunk_io.hpp"
 #include "proto/reusable_io.hpp"
 #include "proto/v3_records.hpp"
+#include "proto/v3_session.hpp"
 
 namespace maxel::evloop {
 
@@ -21,6 +22,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 EvSession::EvSession(const EvServeContext& ctx)
     : ctx_(&ctx),
+      ch_(&buffered_),
+      a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
+
+EvSession::EvSession(const EvServeContext& ctx, proto::Channel& wire)
+    : ctx_(&ctx),
+      ch_(&wire),
       a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
 
 EvSession::~EvSession() { teardown(); }
@@ -43,7 +50,10 @@ void EvSession::release_gate() {
   if (!gate_held_) return;
   gate_held_ = false;
   entry_->ev_gate.store(false, std::memory_order_release);
+  entry_->ev_gate.notify_all();  // wakes blocking sessions of this client
 }
+
+void EvSession::ot_end() { stats_.ot_seconds += seconds_since(t_ot_); }
 
 void EvSession::teardown() {
   if (claim_open_ && pool_) {
@@ -59,17 +69,21 @@ void EvSession::fail(EvError kind, const std::string& what) {
   err_text_ = what;
   state_ = St::kFailed;
   // A handshake reject is already staged on the channel; cut its frame
-  // so the owning connection can still deliver the verdict.
-  ch_.flush();
+  // so the owning connection can still deliver the verdict. (A blocking
+  // wire pushes it when the front closes the channel, exactly once: the
+  // link may be what failed, and a second push would wait out a second
+  // send deadline.)
+  buffered_.flush();
 }
 
-void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
-  if (state_ == St::kDone || state_ == St::kFailed) return;
+template <typename F>
+void EvSession::guarded(F&& f) {
   try {
-    if (n > 0) ch_.ingest(data, n);
-    advance();
+    f();
   } catch (const net::HandshakeError& e) {
     fail(EvError::kHandshake, e.what());
+  } catch (const net::TimeoutError& e) {
+    fail(EvError::kTimeout, e.what());
   } catch (const net::PeerClosedError& e) {
     fail(EvError::kPeerClosed, e.what());
   } catch (const net::NetError& e) {
@@ -77,6 +91,14 @@ void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
   } catch (const std::exception& e) {
     fail(EvError::kOther, e.what());
   }
+}
+
+void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
+  if (state_ == St::kDone || state_ == St::kFailed) return;
+  guarded([&] {
+    if (n > 0) buffered_.ingest(data, n);
+    advance();
+  });
 }
 
 void EvSession::on_peer_eof() {
@@ -88,41 +110,46 @@ void EvSession::on_gate_retry() {
   if (!wants_gate_retry_ || state_ == St::kDone || state_ == St::kFailed)
     return;
   wants_gate_retry_ = false;
-  try {
-    advance();
-  } catch (const net::HandshakeError& e) {
-    fail(EvError::kHandshake, e.what());
-  } catch (const net::PeerClosedError& e) {
-    fail(EvError::kPeerClosed, e.what());
-  } catch (const net::NetError& e) {
-    fail(EvError::kNet, e.what());
-  } catch (const std::exception& e) {
-    fail(EvError::kOther, e.what());
-  }
+  guarded([&] { advance(); });
+}
+
+void EvSession::serve_blocking() {
+  guarded([&] {
+    while (state_ != St::kDone && state_ != St::kFailed) {
+      if (wants_gate_retry_) {
+        // Another session of this client holds the pool gate; sleep
+        // until its release_gate() flips the flag, then race again.
+        entry_->ev_gate.wait(true, std::memory_order_acquire);
+        wants_gate_retry_ = false;
+      }
+      step();  // every recv blocks on the wire until its bytes arrive
+    }
+  });
 }
 
 void EvSession::advance() {
   while (state_ != St::kDone && state_ != St::kFailed &&
          !wants_gate_retry_) {
-    if (ch_.available() < current_need()) break;
+    if (buffered_.available() < current_need()) break;
     step();
   }
   // Parking (or finishing) is a phase boundary: everything staged must
   // become drainable output now, because the peer cannot produce the
   // bytes we wait for until it has seen ours.
-  ch_.flush();
+  buffered_.flush();
 }
 
 std::size_t EvSession::hello_need() const {
-  if (ch_.available() < net::kHelloWireSize) return net::kHelloWireSize;
+  const BufferedChannel& ch = buffered_;
+  if (ch.available() < net::kHelloWireSize) return net::kHelloWireSize;
   // A bad magic rejects on the bare hello; only a well-formed version-3
   // hello carries the extension (which the handshake drains even when
   // v3 is disabled, so the reject verdict survives the close).
-  if (ch_.peek_u64(0) != net::kHelloMagic) return net::kHelloWireSize;
-  if (ch_.peek_u32(8) != net::kProtocolVersionV3) return net::kHelloWireSize;
+  if (ch.peek_u64(0) != net::kHelloMagic) return net::kHelloWireSize;
+  if (ch.peek_u32(8) != net::kProtocolVersionV3) return net::kHelloWireSize;
   const std::size_t ext_base = net::kHelloWireSize + 16 + 1;
-  if (ch_.available() < ext_base) return ext_base;
-  if (ch_.peek_u8(net::kHelloWireSize + 16) == 1)
+  if (ch.available() < ext_base) return ext_base;
+  if (ch.peek_u8(net::kHelloWireSize + 16) == 1)
     return ext_base + proto::ResumptionTicket::kWireSize;
   return ext_base;
 }
@@ -178,16 +205,19 @@ void EvSession::step() {
       state_ = St::kOtSetup4;
       return;
     case St::kOtSetup4:
-      if (mode_ == Mode::kPre) {
+      if (mode_ == Mode::kPre)
         party_->setup_step4();
-        begin_pre_round();
-      } else {
+      else
         iknp_ot_->setup_step4();
+      ot_end();
+      if (mode_ == Mode::kPre)
+        begin_pre_round();
+      else
         start_stream_chunk();
-      }
       return;
     case St::kPreOt:
       party_->finish_ot();
+      ot_end();
       ++r_;
       if (r_ < ctx_->rounds)
         begin_pre_round();
@@ -196,14 +226,17 @@ void EvSession::step() {
       return;
     case St::kStrOt:
       ot_->send_phase2(chunk_pairs_[round_in_chunk_]);
+      ot_end();
       ++round_in_chunk_;
       ++r_;
-      if (round_in_chunk_ < chunk_pairs_.size())
+      if (round_in_chunk_ < chunk_pairs_.size()) {
+        ot_begin();
         ot_->send_phase1(chunk_pairs_[round_in_chunk_].size());
-      else if (next_round_ < ctx_->rounds)
+      } else if (next_round_ < ctx_->rounds) {
         start_stream_chunk();
-      else
+      } else {
         finalize(Mode::kStream);
+      }
       return;
     case St::kV3Gate:
     case St::kReGate:
@@ -211,7 +244,7 @@ void EvSession::step() {
       return;
     case St::kPoolBase2: {
       crypto::SystemRandom setup_rng(ctx_->reg->next_block());
-      pool_->base_setup_step2(ch_, setup_rng);
+      pool_->base_setup_step2(*ch_, setup_rng);
       state_ = St::kPoolBase4;
       return;
     }
@@ -223,7 +256,7 @@ void EvSession::step() {
         finish_pool_setup();
       return;
     case St::kPoolExtend:
-      pool_->extend(ch_, static_cast<std::size_t>(extend_count_));
+      pool_->extend(*ch_, static_cast<std::size_t>(extend_count_));
       finish_pool_setup();
       return;
     case St::kV3Round:
@@ -239,7 +272,7 @@ void EvSession::step() {
 }
 
 void EvSession::finish_handshake() {
-  const net::V23Handshake hs = net::server_handshake_v23(ch_, ctx_->expect);
+  const net::V23Handshake hs = net::server_handshake_v23(*ch_, ctx_->expect);
   hello_ = hs.hello;
   ext_ = hs.ext;
   v3_ = hs.version == net::kProtocolVersionV3;
@@ -292,35 +325,41 @@ void EvSession::init_precomputed() {
   stats_.peak_resident_tables =
       std::max(stats_.peak_resident_tables, resident);
   party_ = std::make_unique<proto::PrecomputedGarblerParty>(
-      std::move(session), ch_, rng_,
+      std::move(session), *ch_, rng_,
       iknp_ ? proto::PrecomputedOtMode::kIknp
             : proto::PrecomputedOtMode::kBase);
-  if (iknp_)
+  if (iknp_) {
+    ot_begin();
     state_ = St::kOtSetup2;
-  else
+  } else {
     begin_pre_round();
+  }
 }
 
 void EvSession::begin_pre_round() {
+  const auto t0 = Clock::now();
   party_->garble_and_send(a_inputs_.next_bits());
+  stats_.transfer_seconds += seconds_since(t0);
   if (r_ == 0) stats_.first_table_seconds += seconds_since(t_session_);
+  ot_begin();
   state_ = St::kPreOt;
 }
 
 void EvSession::init_stream() {
   mode_ = Mode::kStream;
-  // Inline garbling on the loop thread: the blocking path's producer
-  // thread exists to overlap garbling with a *blocking* socket, which an
-  // event loop gets for free by interleaving sessions. The wire record
-  // order is identical (chunks, then per-round OT phases).
-  garbler_ =
-      std::make_unique<gc::CircuitGarbler>(*ctx_->circ, ctx_->scheme, rng_);
+  // Rounds are garbled inline, one chunk at a time, right before the
+  // chunk goes out: on the event loop other sessions fill the garbling
+  // time; on a blocking wire it overlaps the client's evaluation of the
+  // previous chunk's last round.
+  garbler_ = std::make_unique<gc::CircuitGarbler>(
+      *ctx_->circ, ctx_->scheme, rng_, gc::LabelLayout::kPlanned);
   if (iknp_) {
-    iknp_ot_ = std::make_unique<ot::IknpSender>(ch_, rng_);
+    iknp_ot_ = std::make_unique<ot::IknpSender>(*ch_, rng_);
     ot_ = iknp_ot_.get();
+    ot_begin();
     state_ = St::kOtSetup2;
   } else {
-    base_ot_ = std::make_unique<ot::BaseOtSender>(ch_, rng_);
+    base_ot_ = std::make_unique<ot::BaseOtSender>(*ch_, rng_);
     ot_ = base_ot_.get();
     start_stream_chunk();
   }
@@ -329,73 +368,85 @@ void EvSession::init_stream() {
 void EvSession::start_stream_chunk() {
   const std::size_t per_chunk =
       std::max<std::size_t>(1, ctx_->stream_chunk_rounds);
-  const std::size_t count =
-      std::min(per_chunk, ctx_->rounds - next_round_);
-  proto::WireChunk wc;
-  wc.scheme = ctx_->scheme;
-  wc.first_round = next_round_;
-  wc.rounds.reserve(count);
+  std::vector<std::vector<bool>> a_bits(
+      std::min(per_chunk, ctx_->rounds - next_round_));
+  for (auto& row : a_bits) row = a_inputs_.next_bits();
   chunk_pairs_.clear();
-  chunk_pairs_.reserve(count);
+  const proto::WireChunk wc = proto::garble_chunk(*garbler_, a_bits,
+                                                  chunk_pairs_);
+  next_round_ += wc.rounds.size();
   std::uint64_t chunk_tables = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    gc::RoundMaterial rm = garbler_->garble_round_material();
-    chunk_tables += rm.tables.tables.size();
-    const std::vector<bool> a_bits = a_inputs_.next_bits();
-    proto::WireChunk::Round wr;
-    wr.tables = std::move(rm.tables);
-    wr.garbler_labels.resize(a_bits.size());
-    for (std::size_t j = 0; j < a_bits.size(); ++j)
-      wr.garbler_labels[j] = a_bits[j]
-                                 ? rm.garbler_labels0[j] ^ garbler_->delta()
-                                 : rm.garbler_labels0[j];
-    wr.fixed_labels = std::move(rm.fixed_labels);
-    wr.output_map = std::move(rm.output_map);
-    wc.rounds.push_back(std::move(wr));
-    chunk_pairs_.push_back(std::move(rm.evaluator_pairs));
-    ++next_round_;
-  }
-  // Round-0 state labels exist only after the first round is garbled.
-  if (wc.first_round == 0)
-    wc.initial_state_labels = garbler_->initial_state_labels();
-  proto::send_chunk(ch_, wc);
-  if (!first_chunk_sent_) {
-    stats_.first_table_seconds += seconds_since(t_session_);
-    first_chunk_sent_ = true;
-  }
+  for (const auto& wr : wc.rounds) chunk_tables += wr.tables.tables.size();
   stats_.peak_resident_tables =
       std::max(stats_.peak_resident_tables, chunk_tables);
+
+  const auto t0 = Clock::now();
+  proto::send_chunk(*ch_, wc);
+  stats_.transfer_seconds += seconds_since(t0);
+  if (wc.first_round == 0)
+    stats_.first_table_seconds += seconds_since(t_session_);
   round_in_chunk_ = 0;
+  ot_begin();
   ot_->send_phase1(chunk_pairs_[0].size());
   state_ = St::kStrOt;
 }
 
 void EvSession::pool_gate_step() {
-  // One session per client entry at a time across every shard. Losing
-  // the exchange parks this session on a timer instead of a mutex a
-  // sibling on the same loop thread might hold.
+  // One session per client entry at a time across every shard and
+  // worker. Losing the exchange parks this session: the event loop
+  // retries off a timer (the holder may be a sibling on the same loop
+  // thread), the blocking driver waits on the atomic.
   if (entry_->ev_gate.exchange(true, std::memory_order_acq_rel)) {
     wants_gate_retry_ = true;
     return;
   }
   gate_held_ = true;
-  if (mode_ == Mode::kV3)
-    v3_setup_part_a();
-  else
-    re_setup_part_a();
+  if (mode_ == Mode::kV3) {
+    const proto::V3ClientSetup cs = proto::recv_client_setup(*ch_);
+    reconcile_pool(cs.extended);
+    proto::V3ServerSetup ss;
+    ss.fresh = fresh_pool_;
+    ss.pool_id = pool_->pool_id();
+    ss.cookie = cookie_;
+    ss.start_index = claim_start_expected_;
+    ss.claim_count = need_total_;
+    ss.extend_count = extend_count_;
+    proto::send_server_setup(*ch_, ss);
+  } else {
+    const proto::ReusableClientSetup cs =
+        proto::recv_reusable_client_setup(*ch_);
+    reconcile_pool(cs.extended);
+    artifact_sent_ =
+        !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
+    proto::ReusableServerSetup ss;
+    ss.fresh = fresh_pool_;
+    ss.pool_id = pool_->pool_id();
+    ss.cookie = cookie_;
+    ss.start_index = claim_start_expected_;
+    ss.claim_count = need_total_;
+    ss.extend_count = extend_count_;
+    ss.artifact_bytes =
+        artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
+    ss.artifact_sha = ctx_->reusable->view_sha;
+    proto::send_reusable_server_setup(*ch_, ss);
+  }
+  enter_pool_setup();
 }
 
-void EvSession::v3_setup_part_a() {
-  const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
+void EvSession::reconcile_pool(std::uint64_t client_extended) {
   {
     // ev_gate serializes the wire phases; io_mu still guards the entry's
-    // pointer fields against concurrent registry snapshots.
+    // pointer fields against concurrent registry snapshots. Resume only
+    // on full agreement; anything else (first contact, a missing or
+    // stale ticket, a materialized-count desync from a death mid-extend)
+    // restarts from a fresh pool and base OT. v3 and reusable sessions
+    // share the registry, so a client may alternate modes off one pool.
     const std::lock_guard<std::mutex> io(entry_->io_mu);
     const bool resume = entry_->pool && ext_->has_ticket &&
                         ext_->ticket.pool_id == entry_->pool->pool_id() &&
                         ext_->ticket.cookie == entry_->cookie &&
                         ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
+                        client_extended == entry_->pool->extended();
     if (!resume) {
       entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
           ctx_->reg->delta(), ctx_->reg->next_pool_id());
@@ -416,73 +467,14 @@ void EvSession::v3_setup_part_a() {
     extend_count_ = std::min<std::uint64_t>(
         extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
   }
+  // Claims on this pool only happen under the gate, so the next claim
+  // starts exactly at the total ever claimed.
   claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
-
-  proto::V3ServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
-  proto::send_server_setup(ch_, ss);
-  ch_.flush();
-
-  if (fresh_pool_)
-    state_ = St::kPoolBase2;
-  else if (extend_count_ > 0)
-    state_ = St::kPoolExtend;
-  else
-    finish_pool_setup();
 }
 
-void EvSession::re_setup_part_a() {
-  const proto::ReusableClientSetup cs =
-      proto::recv_reusable_client_setup(ch_);
-  {
-    const std::lock_guard<std::mutex> io(entry_->io_mu);
-    const bool resume = entry_->pool && ext_->has_ticket &&
-                        ext_->ticket.pool_id == entry_->pool->pool_id() &&
-                        ext_->ticket.cookie == entry_->cookie &&
-                        ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
-    if (!resume) {
-      entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          ctx_->reg->delta(), ctx_->reg->next_pool_id());
-      entry_->cookie = ctx_->reg->next_block();
-      fresh_pool_ = true;
-    }
-    pool_ = entry_->pool;
-    cookie_ = entry_->cookie;
-  }
-
-  const ot::PoolStats pst = pool_->stats();
-  extend_count_ = 0;
-  if (pst.available() < need_total_) {
-    const std::uint64_t deficit = need_total_ - pst.available();
-    extend_count_ =
-        ((deficit + ot::kPoolExtendBatch - 1) / ot::kPoolExtendBatch) *
-        ot::kPoolExtendBatch;
-    extend_count_ = std::min<std::uint64_t>(
-        extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-  }
-  claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
-
-  artifact_sent_ =
-      !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
-  proto::ReusableServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
-  ss.artifact_bytes =
-      artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
-  ss.artifact_sha = ctx_->reusable->view_sha;
-  proto::send_reusable_server_setup(ch_, ss);
-  ch_.flush();
-
+void EvSession::enter_pool_setup() {
+  ch_->flush();
+  if (fresh_pool_ || extend_count_ > 0) ot_begin();
   if (fresh_pool_)
     state_ = St::kPoolBase2;
   else if (extend_count_ > 0)
@@ -492,27 +484,32 @@ void EvSession::re_setup_part_a() {
 }
 
 void EvSession::finish_pool_setup() {
+  if (fresh_pool_ || extend_count_ > 0) ot_end();
   claim_ = pool_->claim(need_total_);
   claim_open_ = true;
   if (claim_.start != claim_start_expected_)
     throw std::logic_error("evloop: pool claim raced despite the gate");
-  proto::send_ticket(ch_, proto::ResumptionTicket{pool_->pool_id(),
-                                                  ext_->client_id, cookie_});
-  if (mode_ == Mode::kReusable && artifact_sent_)
-    ch_.send_bytes(ctx_->reusable->view_bytes.data(),
-                   ctx_->reusable->view_bytes.size());
-  ch_.flush();
+  proto::send_ticket(*ch_, proto::ResumptionTicket{pool_->pool_id(),
+                                                   ext_->client_id, cookie_});
+  if (mode_ == Mode::kReusable && artifact_sent_) {
+    const auto t0 = Clock::now();
+    ch_->send_bytes(ctx_->reusable->view_bytes.data(),
+                    ctx_->reusable->view_bytes.size());
+    stats_.transfer_seconds += seconds_since(t0);
+  }
+  ch_->flush();
   release_gate();
 
   if (mode_ == Mode::kV3) {
     proto::SeedExpansionRecord seed;
     seed.label_seed = v3_session_.label_seed;
-    proto::send_seed_expansion(ch_, seed);
+    proto::send_seed_expansion(*ch_, seed);
     round_idx_ = claim_.start;
     r_ = 0;
     v3_send_round_frame();
     state_ = St::kV3Round;
   } else {
+    ot_begin();
     state_ = St::kReDbits;
   }
 }
@@ -521,20 +518,19 @@ void EvSession::v3_send_round_frame() {
   proto::V3RoundFrame frame;
   frame.rows = v3_session_.rounds[r_].rows;
   frame.output_map = v3_session_.rounds[r_].output_map;
-  proto::send_round_frame(ch_, frame);
-  ch_.flush();
+  const auto t0 = Clock::now();
+  proto::send_round_frame(*ch_, frame);
+  ch_->flush();
+  stats_.transfer_seconds += seconds_since(t0);
+  if (r_ == 0) stats_.first_table_seconds += seconds_since(t_session_);
+  ot_begin();
 }
 
 void EvSession::v3_round_step() {
-  std::vector<std::uint8_t> d((n_eval_ + 7) / 8);
-  ch_.recv_bytes(d.data(), d.size());
-  const gc::V3RoundMaterial& m = v3_session_.rounds[r_];
-  for (std::size_t j = 0; j < n_eval_; ++j, ++round_idx_) {
-    crypto::Block z = pool_->pad(round_idx_) ^ m.evaluator_pairs[j].first;
-    if ((d[j / 8] >> (j % 8)) & 1u) z ^= v3_session_.delta;
-    ch_.send_block(z);
-  }
-  ch_.flush();
+  proto::answer_v3_round(*ch_, v3_session_.rounds[r_], v3_session_.delta,
+                         *pool_, round_idx_);
+  ot_end();
+  round_idx_ += n_eval_;
   ++r_;
   if (r_ < v3_session_.round_count()) {
     v3_send_round_frame();
@@ -546,14 +542,14 @@ void EvSession::v3_round_step() {
 }
 
 void EvSession::re_dbits_step() {
-  const std::uint64_t n = ch_.recv_u64();
+  const std::uint64_t n = ch_->recv_u64();
   if (n != need_total_)
     throw net::FramingError(
         "reusable session: choice-adjust bits carries " + std::to_string(n) +
         " bits, expected " + std::to_string(need_total_));
   std::vector<std::uint8_t> packed(
       (static_cast<std::size_t>(need_total_) + 7) / 8);
-  if (!packed.empty()) ch_.recv_bytes(packed.data(), packed.size());
+  if (!packed.empty()) ch_->recv_bytes(packed.data(), packed.size());
 
   const std::uint64_t n_in = ctx_->reusable->artifact.view.n_evaluator_inputs;
   std::vector<bool> z(static_cast<std::size_t>(need_total_));
@@ -565,17 +561,20 @@ void EvSession::re_dbits_step() {
                               .evaluator_flips[static_cast<std::size_t>(
                                   k % n_in)]);
   }
-  ch_.send_bits(z);
-  ch_.send_bits(ctx_->reusable->masked_garbler_bits);
-  ch_.flush();
+  ch_->send_bits(z);
+  ot_end();
+  const auto t0 = Clock::now();
+  ch_->send_bits(ctx_->reusable->masked_garbler_bits);
+  ch_->flush();
+  stats_.transfer_seconds += seconds_since(t0);
   pool_->consume(claim_);
   claim_open_ = false;
   finalize(Mode::kReusable);
 }
 
 void EvSession::finalize(Mode done_mode) {
-  stats_.bytes_sent += ch_.bytes_sent();
-  stats_.bytes_received += ch_.bytes_received();
+  stats_.bytes_sent += ch_->bytes_sent();
+  stats_.bytes_received += ch_->bytes_received();
   ++stats_.sessions_served;
   switch (done_mode) {
     case Mode::kPre:
@@ -601,7 +600,7 @@ void EvSession::finalize(Mode done_mode) {
   }
   session_seconds_ = seconds_since(t_session_);
   state_ = St::kDone;
-  ch_.flush();
+  ch_->flush();
 }
 
 }  // namespace maxel::evloop

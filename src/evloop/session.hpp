@@ -1,23 +1,31 @@
-// Non-blocking session state machine: one EvSession per accepted
-// connection, advanced by buffered bytes instead of owning a thread.
+// The server-side session core: one EvSession per accepted connection
+// runs the handshake and whichever of the four session modes the hello
+// asks for (precomputed, stream, v3, reusable). It is the only server
+// implementation of those modes; every front serves through it.
 //
-// The wire behavior is byte-identical to the blocking serve paths
-// (net::Server / svc::Broker): the same handshake, the same four
-// session modes, the same OT phase cadence. The difference is control
-// flow — every blocking recv in the original code becomes a parked
-// state with a known byte need, and the event loop resumes the machine
-// once the inbound buffer covers it. Sends go through the
-// BufferedChannel and are drained by the owning connection via writev.
+// The machine is a set of parked states, each with a known byte need,
+// whose protocol steps run on a proto::Channel. Two drivers step it:
 //
-// Pool-gate discipline (v3/reusable): the blocking paths serialize one
-// client's wire phases with Entry::io_mu held across the whole setup.
-// A single-threaded shard cannot block on a mutex another of its own
-// sessions holds, so evloop sessions serialize on Entry::ev_gate (an
-// atomic test-and-set) instead, re-arming via a short timer on
-// contention; io_mu is still taken for the brief pointer mutations so
+//   * the event loop (EvBroker): bytes arrive via on_bytes() into the
+//     session's own BufferedChannel, the machine advances only while
+//     available() covers the next step's need, and the owning
+//     connection drains the staged output with writev;
+//   * serve_blocking() (net::Server, svc::Broker): the machine steps
+//     directly on the accepted TcpChannel or FaultyChannel, every recv
+//     blocking on the socket.
+//
+// Both drivers put identical bytes on the wire, in the same order.
+//
+// Pool-gate discipline (v3/reusable): one client's setup/extend/claim
+// wire phases are serialized across sessions — and across fronts,
+// shards and worker threads — by Entry::ev_gate, an atomic
+// test-and-set. On contention an event-loop session parks and retries
+// off a timer (its shard thread must not block on a sibling session),
+// while the blocking driver waits on the atomic itself. Entry::io_mu is
+// taken only for the brief pointer mutations, so
 // V3PoolRegistry::outstanding_claims stays race-free. Every claim ends
-// in consume (success) or discard (failure/teardown), exactly like the
-// blocking flows.
+// in consume (success) or discard (failure or teardown), and labels are
+// single-use: a failed session's claim is burnt, never re-served.
 #pragma once
 
 #include <chrono>
@@ -44,9 +52,9 @@
 
 namespace maxel::evloop {
 
-// Everything a shard shares across its sessions. The registry and the
-// reusable context are process-wide (shared across shards); the
-// take_session / take_v3 callbacks front the spool.
+// Everything a front shares across its sessions. The registry and the
+// reusable context are process-wide (shared across shards and worker
+// threads); take_session / take_v3 source the pre-garbled sessions.
 struct EvServeContext {
   const circuit::Circuit* circ = nullptr;
   net::ServerExpectation expect;
@@ -61,11 +69,11 @@ struct EvServeContext {
   std::function<proto::PrecomputedSessionV3()> take_v3;
 };
 
-// Failure taxonomy mirroring the blocking brokers' catch ladder, so the
-// owning connection bumps the same metrics.
+// Failure taxonomy: the front maps it onto its error counters.
 enum class EvError : std::uint8_t {
   kNone = 0,
   kHandshake,   // typed reject sent (counts handshakes_rejected)
+  kTimeout,     // a blocking recv/send hit the idle deadline
   kPeerClosed,  // EOF mid-session (counts peer_disconnects)
   kNet,         // transport/protocol error
   kOther,       // anything else (logic/corruption)
@@ -73,7 +81,10 @@ enum class EvError : std::uint8_t {
 
 class EvSession {
  public:
+  // Event-loop session over its own BufferedChannel.
   explicit EvSession(const EvServeContext& ctx);
+  // Blocking session over `wire`, which must outlive the session.
+  EvSession(const EvServeContext& ctx, proto::Channel& wire);
   ~EvSession();
   EvSession(const EvSession&) = delete;
   EvSession& operator=(const EvSession&) = delete;
@@ -86,7 +97,13 @@ class EvSession {
   // Retries the pool gate (call from a timer while wants_gate_retry()).
   void on_gate_retry();
 
-  [[nodiscard]] BufferedChannel& channel() { return ch_; }
+  // Blocking driver: runs the machine on the wire channel until done()
+  // or failed(), waiting on the pool gate when another session of the
+  // same client holds it. Errors are absorbed as in on_bytes().
+  void serve_blocking();
+
+  // The event-loop session's channel (unused by serve_blocking()).
+  [[nodiscard]] BufferedChannel& channel() { return buffered_; }
   [[nodiscard]] bool done() const { return state_ == St::kDone; }
   [[nodiscard]] bool failed() const { return state_ == St::kFailed; }
   [[nodiscard]] EvError error() const { return err_; }
@@ -95,8 +112,8 @@ class EvSession {
   // pool gate to a concurrent session; re-poke via on_gate_retry().
   [[nodiscard]] bool wants_gate_retry() const { return wants_gate_retry_; }
 
-  // Valid once done(): the per-session stats block (same semantics as
-  // the blocking serve functions) and the serve wall time.
+  // The per-session stats block (complete once done(); a failed session
+  // carries its handshake time) and the serve wall time.
   [[nodiscard]] const net::ServerStats& stats() const { return stats_; }
   [[nodiscard]] double session_seconds() const { return session_seconds_; }
   [[nodiscard]] const char* mode_name() const;
@@ -122,6 +139,8 @@ class EvSession {
 
   using Clock = std::chrono::steady_clock;
 
+  template <typename F>
+  void guarded(F&& f);
   void advance();
   void step();
   [[nodiscard]] std::size_t current_need() const;
@@ -134,8 +153,8 @@ class EvSession {
   void begin_pre_round();
   void start_stream_chunk();
   void pool_gate_step();   // kV3Gate / kReGate action once the gate is won
-  void v3_setup_part_a();
-  void re_setup_part_a();
+  void reconcile_pool(std::uint64_t client_extended);
+  void enter_pool_setup();
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate
   void v3_send_round_frame();
   void v3_round_step();
@@ -144,9 +163,15 @@ class EvSession {
   void fail(EvError kind, const std::string& what);
   void release_gate();
   void teardown();
+  // OT spans run from the machine parking on an OT reply (or starting
+  // an OT setup) until the exchange completes, so the blocking and the
+  // event-loop driver time the same interval.
+  void ot_begin() { t_ot_ = Clock::now(); }
+  void ot_end();
 
   const EvServeContext* ctx_;
-  BufferedChannel ch_;
+  BufferedChannel buffered_;
+  proto::Channel* ch_;  // &buffered_, or the blocking driver's wire
   crypto::SystemRandom rng_;  // declared before members that reference it
   net::DemoInputStream a_inputs_;
   St state_ = St::kHello;
@@ -162,7 +187,8 @@ class EvSession {
   // Precomputed mode.
   std::unique_ptr<proto::PrecomputedGarblerParty> party_;
 
-  // Stream mode (inline garbling — no producer thread to block on).
+  // Stream mode: rounds are garbled inline, one chunk at a time, so
+  // resident garbled state is one chunk.
   std::unique_ptr<gc::CircuitGarbler> garbler_;
   std::unique_ptr<ot::BaseOtSender> base_ot_;
   std::unique_ptr<ot::IknpSender> iknp_ot_;
@@ -171,7 +197,6 @@ class EvSession {
       chunk_pairs_;
   std::size_t round_in_chunk_ = 0;
   std::size_t next_round_ = 0;  // next round index to garble
-  bool first_chunk_sent_ = false;
 
   // v3 / reusable (shared pool plumbing).
   proto::PrecomputedSessionV3 v3_session_;
@@ -195,6 +220,7 @@ class EvSession {
   std::string err_text_;
   Clock::time_point t_accept_ = Clock::now();
   Clock::time_point t_session_{};
+  Clock::time_point t_ot_{};
 };
 
 }  // namespace maxel::evloop

@@ -50,7 +50,7 @@ RoundTables tables_from_bytes(const std::uint8_t* data, std::size_t n_tables,
 // label material needed to select garbler inputs (0-labels + delta),
 // run the evaluator-input OT (pairs), seed the constant wires, and
 // decode outputs. proto::PrecomputedSession stores rounds of exactly
-// this; gc::StreamingGarbler emits them in chunks as they are garbled.
+// this; proto::garble_chunk turns them into stream-mode wire chunks.
 struct RoundMaterial {
   RoundTables tables;
   std::vector<Block> garbler_labels0;  // choose with input bits (+delta)
@@ -101,11 +101,12 @@ class CircuitGarbler {
   RoundTables garble_round();
 
   // Garbles the next round and gathers its complete material in one
-  // step — the shared body of proto::garble_session and the streaming
-  // garbler, so both producers emit byte-identical rounds.
+  // step — the shared body of proto::garble_session and
+  // proto::garble_chunk, so both producers emit byte-identical rounds.
   RoundMaterial garble_round_material();
 
   [[nodiscard]] std::uint64_t rounds_garbled() const { return round_; }
+  [[nodiscard]] Scheme scheme() const { return scheme_; }
 
   // Active label for garbler input i holding value v.
   [[nodiscard]] Block garbler_input_label(std::size_t i, bool v) const;

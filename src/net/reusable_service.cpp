@@ -1,6 +1,5 @@
 #include "net/reusable_service.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,7 +7,6 @@
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/handshake.hpp"
-#include "net/server.hpp"
 #include "proto/reusable_io.hpp"
 #include "proto/v3_records.hpp"
 
@@ -16,8 +14,8 @@ namespace maxel::net {
 
 namespace {
 
-// recv_bits trusts the wire's count prefix, so the session flows never
-// use it directly: the expected bit count is always known from the
+// recv_bits trusts the wire's count prefix, so the client flow never
+// uses it directly: the expected bit count is always known from the
 // negotiated round/input geometry, and a peer announcing anything else
 // is a framing violation, not a reason to allocate.
 std::vector<bool> recv_bits_exact(proto::Channel& ch, std::uint64_t expect,
@@ -79,121 +77,6 @@ ReusableServeContext make_reusable_context(const circuit::Circuit& c,
   }
   ctx.artifact = std::move(artifact);
   return ctx;
-}
-
-ReusableServeOutcome serve_reusable_session(proto::Channel& ch,
-                                            V3PoolRegistry& reg,
-                                            const HelloExtV3& ext,
-                                            const ReusableServeContext& ctx,
-                                            ServerStats& stats) {
-  const std::uint64_t n_in = ctx.artifact.view.n_evaluator_inputs;
-  const std::uint64_t need = static_cast<std::uint64_t>(ctx.rounds) * n_in;
-  if (need == 0 || need > ot::kMaxPoolExtend)
-    throw std::invalid_argument("serve_reusable_session: bad claim demand");
-
-  const auto entry = reg.entry_for(ext.client_id);
-  ReusableServeOutcome out;
-  ot::PoolClaim claim{};
-  std::shared_ptr<ot::CorrelatedPoolSender> pool;
-  {
-    const std::lock_guard<std::mutex> io(entry->io_mu);
-    const proto::ReusableClientSetup cs = proto::recv_reusable_client_setup(ch);
-
-    // Same resume rule as serve_v3_session: full agreement or a fresh
-    // pool — the modes share the registry, so a client may alternate v3
-    // and reusable sessions off one pool and one ticket.
-    const bool resume = entry->pool && ext.has_ticket &&
-                        ext.ticket.pool_id == entry->pool->pool_id() &&
-                        ext.ticket.cookie == entry->cookie &&
-                        ext.ticket.client_id == ext.client_id &&
-                        cs.extended == entry->pool->extended();
-    if (!resume) {
-      entry->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          reg.delta(), reg.next_pool_id());
-      entry->cookie = reg.next_block();
-      out.fresh_pool = true;
-    }
-    pool = entry->pool;
-
-    const ot::PoolStats pst = pool->stats();
-    std::uint64_t extend_count = 0;
-    if (pst.available() < need) {
-      const std::uint64_t deficit = need - pst.available();
-      extend_count = ((deficit + ot::kPoolExtendBatch - 1) /
-                      ot::kPoolExtendBatch) *
-                     ot::kPoolExtendBatch;
-      extend_count = std::min<std::uint64_t>(
-          extend_count, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-    }
-    const std::uint64_t start = pst.claimed + pst.consumed + pst.discarded;
-
-    out.artifact_sent = !(cs.has_artifact && cs.artifact_sha == ctx.view_sha);
-    proto::ReusableServerSetup ss;
-    ss.fresh = out.fresh_pool;
-    ss.pool_id = pool->pool_id();
-    ss.cookie = entry->cookie;
-    ss.start_index = start;
-    ss.claim_count = need;
-    ss.extend_count = extend_count;
-    ss.artifact_bytes = out.artifact_sent ? ctx.view_bytes.size() : 0;
-    ss.artifact_sha = ctx.view_sha;
-    proto::send_reusable_server_setup(ch, ss);
-    ch.flush();
-
-    if (out.fresh_pool) {
-      crypto::SystemRandom setup_rng(reg.next_block());
-      pool->base_setup_step2(ch, setup_rng);
-      pool->base_setup_step4();
-    }
-    if (extend_count > 0) {
-      pool->extend(ch, extend_count);
-      out.extended = extend_count;
-    }
-    claim = pool->claim(need);
-    if (claim.start != start)
-      throw std::logic_error(
-          "serve_reusable_session: claim raced despite io_mu");
-    proto::send_ticket(ch, proto::ResumptionTicket{pool->pool_id(),
-                                                   ext.client_id,
-                                                   entry->cookie});
-    if (out.artifact_sent)
-      ch.send_bytes(ctx.view_bytes.data(), ctx.view_bytes.size());
-    ch.flush();
-  }
-  out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
-
-  try {
-    // Derandomized bit-OT over the claimed window, whole session in one
-    // exchange: d_k = v ^ choice, answered with
-    // z_k = lsb(pad) ^ d_k ^ r_x so the client's lsb(pad') ^ z_k lands
-    // on v ^ r_x — its masked input. d is uniform to this side (choice
-    // bits are pool randomness), so nothing about the client's inputs
-    // leaks here.
-    const std::vector<bool> d = recv_bits_exact(ch, need, "choice-adjust bits");
-    std::vector<bool> z(static_cast<std::size_t>(need));
-    for (std::uint64_t k = 0; k < need; ++k)
-      z[static_cast<std::size_t>(k)] =
-          ((pool->pad(claim.start + k).lsb() != 0) != d[k]) !=
-          static_cast<bool>(
-              ctx.artifact.evaluator_flips[static_cast<std::size_t>(k % n_in)]);
-    ch.send_bits(z);
-    ch.send_bits(ctx.masked_garbler_bits);
-    ch.flush();
-  } catch (...) {
-    pool->discard(claim);
-    throw;
-  }
-  pool->consume(claim);
-
-  stats.bytes_sent += ch.bytes_sent();
-  stats.bytes_received += ch.bytes_received();
-  stats.rounds_served += ctx.rounds;
-  ++stats.sessions_served;
-  ++stats.reusable_sessions_served;
-  if (out.artifact_sent) ++stats.reusable_artifacts_sent;
-  if (out.fresh_pool) ++stats.v3_fresh_pools;
-  stats.v3_ot_extended += out.extended;
-  return out;
 }
 
 ReusableEvalOutcome eval_reusable_session(

@@ -19,10 +19,11 @@
 //   client  evaluates all rounds locally — plaintext table lookups,
 //           zero AES, zero further wire traffic.
 //
-// Pool discipline matches serve_v3_session: one claim per session under
-// the per-client io mutex, ended by consume on success or discard on
-// any throw, so no OT index ever backs two sessions and no claim can
-// stay stuck. Security model: weaker than the single-use modes — see
+// The server half runs in the session core (evloop/session.hpp), with
+// the same pool discipline as v3: one claim per session under the
+// per-client gate, ended by consume on success or discard on any
+// failure, so no OT index ever backs two sessions and no claim can stay
+// stuck. Security model: weaker than the single-use modes — see
 // gc/reusable.hpp and docs/SECURITY_MODELS.md before serving real data.
 #pragma once
 
@@ -37,8 +38,6 @@
 #include "proto/channel.hpp"
 
 namespace maxel::net {
-
-struct ServerStats;  // server.hpp
 
 // Garbles `c` once and stamps the transport identity (fingerprint via
 // net::circuit_fingerprint, bit width as given) into the view.
@@ -67,23 +66,6 @@ ReusableServeContext make_reusable_context(const circuit::Circuit& c,
                                            gc::ReusableCircuit artifact,
                                            std::uint32_t rounds,
                                            std::uint64_t demo_seed);
-
-struct ReusableServeOutcome {
-  bool fresh_pool = false;
-  bool artifact_sent = false;     // false: client cache was current
-  std::uint64_t extended = 0;     // OT indices added on this connection
-  std::uint64_t setup_bytes = 0;  // wire bytes before the d/z exchange
-};
-
-// Serves one reusable session after an accepted kReusable handshake.
-// Shares `reg` (and so pools, tickets, and the claim invariant) with
-// serve_v3_session. Updates byte/round/session counters in `stats`
-// (pass a fresh-per-connection channel).
-ReusableServeOutcome serve_reusable_session(proto::Channel& ch,
-                                            V3PoolRegistry& reg,
-                                            const HelloExtV3& ext,
-                                            const ReusableServeContext& ctx,
-                                            ServerStats& stats);
 
 struct ReusableEvalOutcome {
   std::vector<bool> decoded;      // final-round outputs

@@ -6,11 +6,8 @@
 #include <memory>
 #include <vector>
 
-#include "gc/streaming_garbler.hpp"
+#include "evloop/session.hpp"
 #include "net/demo_inputs.hpp"
-#include "ot/base_ot.hpp"
-#include "ot/iknp.hpp"
-#include "proto/chunk_io.hpp"
 
 namespace maxel::net {
 
@@ -125,6 +122,30 @@ Server::Server(const ServerConfig& cfg)
         static_cast<std::uint32_t>(cfg.rounds_per_session), cfg.demo_seed);
     ++stats_.reusable_garbles;
   }
+  DemoInputStream a_inputs(cfg.demo_seed, kGarblerStream, cfg.bits);
+  v3_g_bits_.resize(cfg.rounds_per_session);
+  for (auto& row : v3_g_bits_) row = a_inputs.next_bits();
+
+  serve_ctx_ = std::make_unique<evloop::EvServeContext>();
+  serve_ctx_->circ = &circ_;
+  serve_ctx_->expect = expect_;
+  serve_ctx_->reg = &v3_reg_;
+  serve_ctx_->reusable = reusable_ctx_ ? &*reusable_ctx_ : nullptr;
+  serve_ctx_->bits = cfg.bits;
+  serve_ctx_->rounds = cfg.rounds_per_session;
+  serve_ctx_->demo_seed = cfg.demo_seed;
+  serve_ctx_->scheme = cfg.scheme;
+  serve_ctx_->stream_chunk_rounds = cfg.stream_chunk_rounds;
+  serve_ctx_->take_session = [this] { return take_session(); };
+  // v3 sessions are garbled inline at serve time: the slim material is
+  // ~40% of the v2 tables and the demo garbler inputs are known, so the
+  // bank (sized for v2 sessions) is bypassed. The garbling delta must be
+  // the pool correlation secret, which lives in the registry.
+  serve_ctx_->take_v3 = [this] {
+    return proto::garble_session_v3(circ_, v3_an_, v3_g_bits_,
+                                    v3_reg_.delta(), rng_.next_block(),
+                                    rng_);
+  };
   precompute_thread_ = std::thread([this] { precompute_loop(); });
 }
 
@@ -177,220 +198,45 @@ proto::PrecomputedSession Server::take_session() {
   return bank_.take_session();
 }
 
-void serve_precomputed_session(proto::Channel& ch, const ClientHello& hello,
-                               proto::PrecomputedSession session,
-                               std::size_t rounds, std::size_t bits,
-                               std::uint64_t demo_seed,
-                               crypto::RandomSource& rng, ServerStats& stats) {
-  const std::uint64_t resident_tables =
-      session.rounds.empty()
-          ? 0
-          : session.rounds.size() * session.rounds.front().tables.tables.size();
-  stats.peak_resident_tables =
-      std::max(stats.peak_resident_tables, resident_tables);
-  const auto t_start = Clock::now();
-  proto::PrecomputedGarblerParty garbler(
-      std::move(session), ch, rng,
-      hello.ot == static_cast<std::uint8_t>(OtChoice::kIknp)
-          ? proto::PrecomputedOtMode::kIknp
-          : proto::PrecomputedOtMode::kBase);
-
-  double transfer_s = 0, ot_s = 0;
-  {
-    const auto t0 = Clock::now();
-    garbler.setup_step2();  // no-ops under base OT
-    garbler.setup_step4();
-    ot_s += seconds_since(t0);
-  }
-
-  DemoInputStream a_inputs(demo_seed, kGarblerStream, bits);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    auto t0 = Clock::now();
-    garbler.garble_and_send(a_inputs.next_bits());
-    transfer_s += seconds_since(t0);
-    if (r == 0) stats.first_table_seconds += seconds_since(t_start);
-    t0 = Clock::now();
-    garbler.finish_ot();
-    ot_s += seconds_since(t0);
-  }
-  // The final OT ciphertexts may still sit in the write buffer; the
-  // client is waiting on them.
-  ch.flush();
-
-  stats.transfer_seconds += transfer_s;
-  stats.ot_seconds += ot_s;
-  stats.bytes_sent += ch.bytes_sent();
-  stats.bytes_received += ch.bytes_received();
-  stats.rounds_served += rounds;
-  ++stats.sessions_served;
-}
-
-void serve_streaming_session(proto::Channel& ch, const ClientHello& hello,
-                             const circuit::Circuit& circ, gc::Scheme scheme,
-                             std::size_t rounds, std::size_t bits,
-                             const StreamOptions& stream,
-                             std::uint64_t demo_seed,
-                             crypto::RandomSource& rng, ServerStats& stats) {
-  const auto t_start = Clock::now();
-
-  // Start the producer first so garbling overlaps the OT setup round
-  // trips below; the bounded queue keeps resident state O(chunks).
-  gc::StreamingGarbler::Options gopt;
-  gopt.chunk_rounds = stream.chunk_rounds;
-  gopt.queue_chunks = stream.queue_chunks;
-  gc::StreamingGarbler garbler(circ, scheme, rounds, gopt, rng.next_block());
-
-  std::unique_ptr<ot::BaseOtSender> base_ot;
-  std::unique_ptr<ot::IknpSender> iknp_ot;
-  ot::OtSender* ot = nullptr;
-  double transfer_s = 0, ot_s = 0;
-  if (hello.ot == static_cast<std::uint8_t>(OtChoice::kIknp)) {
-    const auto t0 = Clock::now();
-    iknp_ot = std::make_unique<ot::IknpSender>(ch, rng);
-    iknp_ot->setup_step2();
-    iknp_ot->setup_step4();
-    ot_s += seconds_since(t0);
-    ot = iknp_ot.get();
-  } else {
-    base_ot = std::make_unique<ot::BaseOtSender>(ch, rng);
-    ot = base_ot.get();
-  }
-
-  DemoInputStream a_inputs(demo_seed, kGarblerStream, bits);
-  const crypto::Block delta = garbler.delta();
-  bool first_chunk = true;
-  std::size_t served = 0;
-  gc::SessionChunk chunk;
-  while (garbler.next_chunk(chunk)) {
-    // Lift the chunk to its wire view: pick the active garbler-input
-    // label per bit; evaluator pairs stay server-side for the OT.
-    proto::WireChunk wc;
-    wc.scheme = scheme;
-    wc.first_round = chunk.first_round;
-    wc.initial_state_labels = std::move(chunk.initial_state_labels);
-    wc.rounds.reserve(chunk.rounds.size());
-    for (auto& rm : chunk.rounds) {
-      proto::WireChunk::Round wr;
-      wr.tables = std::move(rm.tables);
-      const std::vector<bool> a_bits = a_inputs.next_bits();
-      wr.garbler_labels.resize(a_bits.size());
-      for (std::size_t i = 0; i < a_bits.size(); ++i)
-        wr.garbler_labels[i] =
-            a_bits[i] ? rm.garbler_labels0[i] ^ delta : rm.garbler_labels0[i];
-      wr.fixed_labels = std::move(rm.fixed_labels);
-      wr.output_map = std::move(rm.output_map);
-      wc.rounds.push_back(std::move(wr));
-    }
-    auto t0 = Clock::now();
-    proto::send_chunk(ch, wc);
-    transfer_s += seconds_since(t0);
-    if (first_chunk) {
-      stats.first_table_seconds += seconds_since(t_start);
-      first_chunk = false;
-    }
-    // Per-round label OT, same phase cadence as the precomputed path
-    // (send_phase2 recvs, which auto-flushes the chunk + phase-1 data).
-    t0 = Clock::now();
-    for (const auto& rm : chunk.rounds) {
-      ot->send_phase1(rm.evaluator_pairs.size());
-      ot->send_phase2(rm.evaluator_pairs);
-    }
-    ot_s += seconds_since(t0);
-    served += chunk.rounds.size();
-  }
-  ch.flush();
-
-  stats.transfer_seconds += transfer_s;
-  stats.ot_seconds += ot_s;
-  stats.bytes_sent += ch.bytes_sent();
-  stats.bytes_received += ch.bytes_received();
-  stats.rounds_served += served;
-  stats.peak_resident_tables =
-      std::max(stats.peak_resident_tables, garbler.peak_resident_tables());
-  ++stats.sessions_served;
-  ++stats.stream_sessions_served;
-}
-
-void Server::serve_v3_connection(proto::Channel& ch, const ClientHello& hello,
-                                 const HelloExtV3& ext,
-                                 ServerStats& session_stats) {
-  // Reusable mode: no per-session garbling at all — serve off the
-  // context built at construction (the handshake already rejected the
-  // mode if it is disabled, so the context is present here).
-  if (hello.mode == static_cast<std::uint8_t>(SessionMode::kReusable)) {
-    serve_reusable_session(ch, v3_reg_, ext, *reusable_ctx_, session_stats);
-    return;
-  }
-  // v3 sessions are garbled inline at serve time: the slim material is
-  // ~40% of the v2 tables and the demo garbler inputs are known, so the
-  // bank (sized for v2 sessions) is bypassed. The garbling delta must be
-  // the pool correlation secret, which lives in the registry.
-  DemoInputStream a_inputs(cfg_.demo_seed, kGarblerStream, cfg_.bits);
-  std::vector<std::vector<bool>> g_bits(cfg_.rounds_per_session);
-  for (auto& row : g_bits) row = a_inputs.next_bits();
-  const auto t0 = Clock::now();
-  const proto::PrecomputedSessionV3 session = proto::garble_session_v3(
-      circ_, v3_an_, g_bits, v3_reg_.delta(), rng_.next_block(), rng_);
-  const double garble_s = seconds_since(t0);
-
-  const auto t1 = Clock::now();
-  serve_v3_session(ch, v3_reg_, ext, circ_, session, session_stats);
-  session_stats.transfer_seconds += seconds_since(t1);
-  session_stats.first_table_seconds += garble_s;
-}
-
 void Server::handle_connection(proto::Channel& ch) {
-  const auto t_hs = Clock::now();
-  // server_handshake_v23 sends the typed reject and throws on mismatch;
-  // the caller counts it and moves on to the next client.
-  const V23Handshake hs = server_handshake_v23(ch, expect_);
-  const ClientHello& hello = hs.hello;
-  {
-    const std::lock_guard<std::mutex> lock(bank_mu_);
-    stats_.handshake_seconds += seconds_since(t_hs);
-  }
-
-  ServerStats session_stats;
-  if (hs.version == kProtocolVersionV3) {
-    serve_v3_connection(ch, hello, *hs.ext, session_stats);
-  } else if (hello.mode == static_cast<std::uint8_t>(SessionMode::kStream)) {
-    // Stream sessions garble on the fly and never touch the bank.
-    StreamOptions stream;
-    stream.chunk_rounds = cfg_.stream_chunk_rounds;
-    stream.queue_chunks = cfg_.stream_queue_chunks;
-    serve_streaming_session(ch, hello, circ_, cfg_.scheme,
-                            cfg_.rounds_per_session, cfg_.bits, stream,
-                            cfg_.demo_seed, rng_, session_stats);
-  } else {
-    serve_precomputed_session(ch, hello, take_session(),
-                              cfg_.rounds_per_session, cfg_.bits,
-                              cfg_.demo_seed, rng_, session_stats);
-  }
-
+  evloop::EvSession session(*serve_ctx_, ch);
+  session.serve_blocking();
+  const ServerStats& st = session.stats();
   std::uint64_t session_no;
   {
     const std::lock_guard<std::mutex> lock(bank_mu_);
-    stats_.merge(session_stats);
+    stats_.merge(st);
+    switch (session.error()) {
+      case evloop::EvError::kNone:
+        break;
+      case evloop::EvError::kHandshake:
+        ++stats_.handshakes_rejected;
+        break;
+      case evloop::EvError::kTimeout:
+        // A silent or non-draining client hit the idle deadline; the
+        // session is abandoned and the serve loop moves on.
+        ++stats_.idle_timeouts;
+        ++stats_.connection_errors;
+        break;
+      default:
+        ++stats_.connection_errors;
+        break;
+    }
     session_no = stats_.sessions_served;
   }
-
-  if (cfg_.verbose)
+  if (!cfg_.verbose) return;
+  if (session.failed())
+    std::fprintf(stderr, "[maxel_server] session failed: %s\n",
+                 session.error_text().c_str());
+  else
     std::fprintf(stderr,
                  "[maxel_server] session %llu (%s): %zu rounds, %llu B out / "
                  "%llu B in, transfer %.3fs, ot %.3fs\n",
                  static_cast<unsigned long long>(session_no),
-                 hello.mode ==
-                         static_cast<std::uint8_t>(SessionMode::kReusable)
-                     ? "reusable"
-                 : hs.version == kProtocolVersionV3 ? "v3"
-                 : hello.mode ==
-                         static_cast<std::uint8_t>(SessionMode::kStream)
-                     ? "stream"
-                     : "precomputed",
-                 cfg_.rounds_per_session,
-                 static_cast<unsigned long long>(ch.bytes_sent()),
-                 static_cast<unsigned long long>(ch.bytes_received()),
-                 session_stats.transfer_seconds, session_stats.ot_seconds);
+                 session.mode_name(), cfg_.rounds_per_session,
+                 static_cast<unsigned long long>(st.bytes_sent),
+                 static_cast<unsigned long long>(st.bytes_received),
+                 st.transfer_seconds, st.ot_seconds);
 }
 
 void Server::serve() {
@@ -408,33 +254,7 @@ void Server::serve() {
     std::unique_ptr<proto::Channel> ch = std::move(accepted);
     if (injector_)
       ch = std::make_unique<FaultyChannel>(std::move(ch), injector_);
-    try {
-      handle_connection(*ch);
-    } catch (const HandshakeError& e) {
-      {
-        const std::lock_guard<std::mutex> lock(bank_mu_);
-        ++stats_.handshakes_rejected;
-      }
-      if (cfg_.verbose)
-        std::fprintf(stderr, "[maxel_server] rejected client: %s\n", e.what());
-    } catch (const TimeoutError& e) {
-      // A silent or non-draining client hit the idle deadline; the
-      // session is abandoned and the worker (this loop) moves on.
-      {
-        const std::lock_guard<std::mutex> lock(bank_mu_);
-        ++stats_.idle_timeouts;
-        ++stats_.connection_errors;
-      }
-      if (cfg_.verbose)
-        std::fprintf(stderr, "[maxel_server] idle timeout: %s\n", e.what());
-    } catch (const NetError& e) {
-      {
-        const std::lock_guard<std::mutex> lock(bank_mu_);
-        ++stats_.connection_errors;
-      }
-      if (cfg_.verbose)
-        std::fprintf(stderr, "[maxel_server] connection error: %s\n", e.what());
-    }
+    handle_connection(*ch);
   }
   const std::lock_guard<std::mutex> lock(bank_mu_);
   stats_.total_seconds += seconds_since(t0);

@@ -1,16 +1,17 @@
 // Garbler-side network server: the cloud host of Fig. 1.
 //
-// Serves precomputed garbling sessions to remote evaluator clients over
-// TCP. One connection = one handshake + one session: the server pops a
-// pre-garbled session from its GarblingBank and streams each round's
-// tables/labels, running the online OT per round. A background thread
-// keeps the bank stocked, garbling fresh sessions in parallel on a
-// core::GcCorePool (the software stand-in for the accelerator streaming
-// tables up over PCIe while the host serves traffic).
-//
-// Serving is sequential (one client at a time) in this PR; the
-// accept/handshake/session split is the seam where multi-client serving
-// and async I/O attach later.
+// Serves garbling sessions to remote evaluator clients over TCP, one
+// connection at a time: each accepted connection is handed to the
+// server-side session core (evloop::EvSession, stepped by its blocking
+// driver), which runs the handshake and the session mode the hello asks
+// for. Precomputed sessions come out of a GarblingBank that a
+// background thread keeps stocked, garbling fresh sessions in parallel
+// on a core::GcCorePool (the software stand-in for the accelerator
+// streaming tables up over PCIe while the host serves traffic); v3
+// sessions are garbled inline under the pool registry's delta, stream
+// sessions chunk by chunk inside the session. svc::Broker (worker
+// pool) and evloop::EvBroker (event loops) are the concurrent fronts
+// over the same core.
 #pragma once
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
@@ -32,6 +34,10 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/precompute.hpp"
+
+namespace maxel::evloop {
+struct EvServeContext;  // evloop/session.hpp
+}  // namespace maxel::evloop
 
 namespace maxel::net {
 
@@ -48,11 +54,9 @@ struct ServerConfig {
   std::uint64_t max_sessions = 0;      // stop after serving this many; 0 = run until stop()
   int accept_poll_ms = 200;            // stop-flag poll period of the accept loop
   bool verbose = true;                 // per-session log line on stderr
-  // Stream-mode (garble-while-transfer) tuning: rounds per chunk and
-  // the backpressure queue bound, in chunks. Per-session garbling RAM
-  // is O(chunk_rounds * queue_chunks) tables instead of O(rounds).
+  // Stream-mode (garble-while-transfer) rounds per chunk. Per-session
+  // garbling RAM is one chunk of tables instead of the whole session.
   std::size_t stream_chunk_rounds = 16;
-  std::size_t stream_queue_chunks = 4;
   bool allow_stream = true;            // reject kStream hellos when false
   bool allow_v3 = true;                // accept protocol-v3 hellos
   // Serve SessionMode::kReusable (garble-once artifact; weaker garbler
@@ -91,12 +95,12 @@ struct ServerStats {
   std::uint64_t v3_fresh_pools = 0;   // v3/reusable sessions that paid a base OT
   std::uint64_t v3_ot_extended = 0;   // correlated-OT indices materialized
   // Most tables resident server-side for any single session: the whole
-  // session for precomputed mode, the bounded chunk queue for stream
-  // mode. Merged with max, not sum — it is a high-water mark.
+  // session for precomputed mode, one chunk for stream mode. Merged
+  // with max, not sum — it is a high-water mark.
   std::uint64_t peak_resident_tables = 0;
   double handshake_seconds = 0;
-  double transfer_seconds = 0;  // garbled tables + labels push
-  double ot_seconds = 0;        // OT setup + per-round label OT
+  double transfer_seconds = 0;  // garbled tables/frames/artifact + labels push
+  double ot_seconds = 0;        // OT/pool setup + per-round label OT
   double first_table_seconds = 0;  // session start -> first tables on the wire
   double total_seconds = 0;     // serve() wall time
 
@@ -107,39 +111,6 @@ struct ServerStats {
 
   [[nodiscard]] std::string to_json() const;
 };
-
-// Serves one pre-garbled session to a handshaken client: IKNP setup (if
-// the hello asked for it), then per round table/label push + label OT.
-// This is the single-connection core shared by net::Server and
-// svc::Broker; the caller owns handshake, session sourcing, and error
-// accounting. Timings and byte/round counters are accumulated into
-// `stats` (bytes are read off the channel's counters, so pass a
-// fresh-per-connection channel).
-void serve_precomputed_session(proto::Channel& ch, const ClientHello& hello,
-                               proto::PrecomputedSession session,
-                               std::size_t rounds, std::size_t bits,
-                               std::uint64_t demo_seed,
-                               crypto::RandomSource& rng, ServerStats& stats);
-
-// Stream-mode tuning knobs shared by net::Server and svc::Broker.
-struct StreamOptions {
-  std::size_t chunk_rounds = 16;  // rounds per wire chunk
-  std::size_t queue_chunks = 4;   // backpressure bound on garbled chunks
-};
-
-// Serves one garble-while-transfer session to a handshaken client that
-// asked for SessionMode::kStream: a gc::StreamingGarbler produces
-// chunks of rounds on its own thread while this thread ships each chunk
-// (proto::send_chunk) and runs the per-round label OT — garbling, TCP
-// transfer and remote evaluation overlap, and resident garbled state is
-// bounded by the chunk queue instead of the whole session. Same caller
-// contract as serve_precomputed_session.
-void serve_streaming_session(proto::Channel& ch, const ClientHello& hello,
-                             const circuit::Circuit& circ, gc::Scheme scheme,
-                             std::size_t rounds, std::size_t bits,
-                             const StreamOptions& stream,
-                             std::uint64_t demo_seed,
-                             crypto::RandomSource& rng, ServerStats& stats);
 
 class Server {
  public:
@@ -173,21 +144,22 @@ class Server {
   void precompute_loop();
   proto::PrecomputedSession take_session();
   void handle_connection(proto::Channel& ch);
-  void serve_v3_connection(proto::Channel& ch, const ClientHello& hello,
-                           const HelloExtV3& ext,
-                           ServerStats& session_stats);
 
   ServerConfig cfg_;
   std::shared_ptr<FaultInjector> injector_;  // null when fault_plan empty
   circuit::Circuit circ_;
   gc::V3Analysis v3_an_;
   V3PoolRegistry v3_reg_;
+  std::vector<std::vector<bool>> v3_g_bits_;  // demo garbler inputs/round
   // Garbled once at construction when reusable mode is enabled; every
   // reusable session is served off this one context.
   std::optional<ReusableServeContext> reusable_ctx_;
   ServerExpectation expect_;
   TcpListener listener_;
-  crypto::SystemRandom rng_;  // online-phase OT randomness
+  crypto::SystemRandom rng_;  // inline v3 garbling randomness
+  // What every session needs from this server (held by pointer because
+  // evloop/session.hpp includes this header).
+  std::unique_ptr<evloop::EvServeContext> serve_ctx_;
 
   core::GcCorePool pool_;
   proto::GarblingBank bank_;

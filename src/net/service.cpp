@@ -140,7 +140,6 @@ int serve_command(int argc, char** argv) {
     else if (flag == "--json") { const char* v = p.value(); if (v) json_path = v; }
     else if (flag == "--quiet") cfg.verbose = false;
     else if (flag == "--chunk-rounds") cfg.stream_chunk_rounds = p.value_u64();
-    else if (flag == "--queue-chunks") cfg.stream_queue_chunks = p.value_u64();
     else if (flag == "--mode") {
       // Restricts the server to one mode family (precomputed v2 is
       // always served as the baseline every client can fall back to).
@@ -154,21 +153,15 @@ int serve_command(int argc, char** argv) {
       cfg.allow_v3 = mc.v3;
       cfg.allow_reusable = mc.reusable;
     }
-    // Deprecated aliases of --mode, kept so existing scripts work.
-    else if (flag == "--no-stream") cfg.allow_stream = false;
-    else if (flag == "--no-v3") cfg.allow_v3 = false;
-    else if (flag == "--no-reusable") cfg.allow_reusable = false;
     else if (flag == "--help" || flag == "-h") {
       std::printf(
           "maxel_server serve [flags]\n"
           "  --port N --bind ADDR --bits N --rounds N --sessions N\n"
           "  --cores N --seed N --scheme {halfgates|grr3|classic4}\n"
-          "  --chunk-rounds N --queue-chunks N --idle-timeout MS\n"
+          "  --chunk-rounds N --idle-timeout MS\n"
           "  --fault-plan SPEC --json PATH --quiet\n"
           "  --mode {precomputed|stream|v3|reusable}  serve only this mode\n"
-          "        family (default: all four):\n%s"
-          "  --no-stream/--no-v3/--no-reusable  deprecated aliases that\n"
-          "        switch off one mode\n",
+          "        family (default: all four):\n%s",
           kModeHelp);
       return 0;
     }
@@ -186,7 +179,7 @@ int serve_command(int argc, char** argv) {
     }
   }
   if (!p.ok || cfg.bits == 0 || cfg.rounds_per_session == 0 ||
-      cfg.stream_chunk_rounds == 0 || cfg.stream_queue_chunks == 0) {
+      cfg.stream_chunk_rounds == 0) {
     std::fprintf(stderr, "maxel_server: bad flags\n");
     return 2;
   }
@@ -249,9 +242,6 @@ int connect_command(int argc, char** argv) {
                              : SessionMode::kPrecomputed;
       cfg.protocol = mc.v3 ? kProtocolVersionV3 : kProtocolVersion;
     }
-    // Deprecated aliases of --mode, kept so existing scripts work.
-    else if (flag == "--stream") cfg.mode = SessionMode::kStream;
-    else if (flag == "--v3") cfg.protocol = kProtocolVersionV3;
     else if (flag == "--help" || flag == "-h") {
       std::printf(
           "maxel_client connect [flags]\n"
@@ -261,8 +251,7 @@ int connect_command(int argc, char** argv) {
           "  --retry-seed N --net-timeout MS --fault-plan SPEC\n"
           "  --json PATH --no-check --quiet\n"
           "  --mode {precomputed|stream|v3|reusable}  session mode to\n"
-          "        request (default: precomputed):\n%s"
-          "  --stream/--v3  deprecated aliases of --mode stream / --mode v3\n",
+          "        request (default: precomputed):\n%s",
           kModeHelp);
       return 0;
     }

@@ -1,10 +1,8 @@
 #include "net/v3_service.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "net/error.hpp"
-#include "net/server.hpp"
 #include "proto/v3_records.hpp"
 
 namespace maxel::net {
@@ -40,8 +38,8 @@ std::size_t V3PoolRegistry::clients() const {
 
 std::uint64_t V3PoolRegistry::outstanding_claims() const {
   // Snapshot the entries under the registry lock, then visit each under
-  // its own io mutex (the serve path locks io_mu before mu_, so holding
-  // both here in the other order would invert).
+  // its own io mutex (the session core locks io_mu before mu_, so
+  // holding both here in the other order would invert).
   std::vector<std::shared_ptr<Entry>> snapshot;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -54,108 +52,6 @@ std::uint64_t V3PoolRegistry::outstanding_claims() const {
     if (entry->pool) total += entry->pool->stats().claimed;
   }
   return total;
-}
-
-V3ServeOutcome serve_v3_session(proto::Channel& ch, V3PoolRegistry& reg,
-                                const HelloExtV3& ext,
-                                const circuit::Circuit& circ,
-                                const proto::PrecomputedSessionV3& session,
-                                ServerStats& stats) {
-  const std::size_t n_in = circ.evaluator_inputs.size();
-  const std::uint64_t need = session.round_count() * n_in;
-  if (need > ot::kMaxPoolExtend)
-    throw std::invalid_argument("serve_v3_session: session too large");
-  if (session.pool_lineage != reg.lineage())
-    throw std::logic_error(
-        "serve_v3_session: session garbled under a foreign delta");
-
-  const auto entry = reg.entry_for(ext.client_id);
-  V3ServeOutcome out;
-  ot::PoolClaim claim{};
-  std::shared_ptr<ot::CorrelatedPoolSender> pool;
-  {
-    const std::lock_guard<std::mutex> io(entry->io_mu);
-    const proto::V3ClientSetup cs = proto::recv_client_setup(ch);
-
-    // Resume only on full agreement; anything else — first contact, a
-    // missing or stale ticket, a materialized-count desync from a death
-    // mid-extend — restarts from a fresh pool and base OT. The fallback
-    // costs one setup, never correctness.
-    const bool resume = entry->pool && ext.has_ticket &&
-                        ext.ticket.pool_id == entry->pool->pool_id() &&
-                        ext.ticket.cookie == entry->cookie &&
-                        ext.ticket.client_id == ext.client_id &&
-                        cs.extended == entry->pool->extended();
-    if (!resume) {
-      entry->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          reg.delta(), reg.next_pool_id());
-      entry->cookie = reg.next_block();
-      out.fresh_pool = true;
-    }
-    pool = entry->pool;
-
-    const ot::PoolStats pst = pool->stats();
-    std::uint64_t extend_count = 0;
-    if (pst.available() < need) {
-      const std::uint64_t deficit = need - pst.available();
-      extend_count = ((deficit + ot::kPoolExtendBatch - 1) /
-                      ot::kPoolExtendBatch) *
-                     ot::kPoolExtendBatch;
-      extend_count = std::min<std::uint64_t>(
-          extend_count, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-    }
-    // All claims on this pool run under io_mu, so the next claim start
-    // is exactly the total ever claimed.
-    const std::uint64_t start = pst.claimed + pst.consumed + pst.discarded;
-
-    proto::V3ServerSetup ss;
-    ss.fresh = out.fresh_pool;
-    ss.pool_id = pool->pool_id();
-    ss.cookie = entry->cookie;
-    ss.start_index = start;
-    ss.claim_count = need;
-    ss.extend_count = extend_count;
-    proto::send_server_setup(ch, ss);
-    ch.flush();
-
-    if (out.fresh_pool) {
-      crypto::SystemRandom setup_rng(reg.next_block());
-      pool->base_setup_step2(ch, setup_rng);
-      pool->base_setup_step4();
-    }
-    if (extend_count > 0) {
-      pool->extend(ch, extend_count);
-      out.extended = extend_count;
-    }
-    claim = pool->claim(need);
-    if (claim.start != start)
-      throw std::logic_error("serve_v3_session: claim raced despite io_mu");
-    proto::send_ticket(ch, proto::ResumptionTicket{pool->pool_id(),
-                                                   ext.client_id,
-                                                   entry->cookie});
-    ch.flush();
-  }
-  out.setup_bytes = ch.bytes_sent() + ch.bytes_received();
-
-  try {
-    proto::serve_v3_rounds(ch, circ, session, *pool, claim);
-    ch.flush();
-  } catch (...) {
-    // Burn the claim: these indices must never back another session,
-    // and the pool must not be left with a stuck outstanding claim.
-    pool->discard(claim);
-    throw;
-  }
-  pool->consume(claim);
-
-  stats.bytes_sent += ch.bytes_sent();
-  stats.bytes_received += ch.bytes_received();
-  stats.rounds_served += session.round_count();
-  ++stats.sessions_served;
-  ++stats.v3_sessions_served;
-  if (out.fresh_pool) ++stats.v3_fresh_pools;
-  stats.v3_ot_extended += out.extended;
-  return out;
 }
 
 std::shared_ptr<V3ClientState> make_v3_client_state(

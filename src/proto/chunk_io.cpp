@@ -180,4 +180,31 @@ WireChunk recv_chunk(Channel& ch) {
   return parse_chunk(buf.data(), buf.size());
 }
 
+WireChunk garble_chunk(
+    gc::CircuitGarbler& g, const std::vector<std::vector<bool>>& garbler_bits,
+    std::vector<std::vector<std::pair<crypto::Block, crypto::Block>>>&
+        evaluator_pairs) {
+  WireChunk wc;
+  wc.scheme = g.scheme();
+  wc.first_round = g.rounds_garbled();
+  wc.rounds.reserve(garbler_bits.size());
+  for (const std::vector<bool>& a_bits : garbler_bits) {
+    gc::RoundMaterial rm = g.garble_round_material();
+    WireChunk::Round wr;
+    wr.tables = std::move(rm.tables);
+    wr.garbler_labels.resize(a_bits.size());
+    for (std::size_t j = 0; j < a_bits.size(); ++j)
+      wr.garbler_labels[j] = a_bits[j] ? rm.garbler_labels0[j] ^ g.delta()
+                                       : rm.garbler_labels0[j];
+    wr.fixed_labels = std::move(rm.fixed_labels);
+    wr.output_map = std::move(rm.output_map);
+    wc.rounds.push_back(std::move(wr));
+    evaluator_pairs.push_back(std::move(rm.evaluator_pairs));
+  }
+  // Round-0 state labels exist only once the first round is garbled.
+  if (wc.first_round == 0 && !wc.rounds.empty())
+    wc.initial_state_labels = g.initial_state_labels();
+  return wc;
+}
+
 }  // namespace maxel::proto

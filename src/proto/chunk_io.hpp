@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "crypto/block.hpp"
@@ -75,5 +76,16 @@ WireChunk parse_chunk(const std::uint8_t* data, std::size_t n);
 // validates the length against kMaxChunkWireBytes before allocating.
 void send_chunk(Channel& ch, const WireChunk& c);
 WireChunk recv_chunk(Channel& ch);
+
+// The stream-mode producer: garbles garbler_bits.size() further rounds
+// on `g` into one chunk starting at g.rounds_garbled(). Round i's active
+// garbler labels are selected with garbler_bits[i], and the chunk that
+// opens the session carries the round-0 state labels. The evaluator
+// label pairs never enter the chunk; one vector per round is appended
+// to `evaluator_pairs` for the per-round OT.
+WireChunk garble_chunk(
+    gc::CircuitGarbler& g, const std::vector<std::vector<bool>>& garbler_bits,
+    std::vector<std::vector<std::pair<crypto::Block, crypto::Block>>>&
+        evaluator_pairs);
 
 }  // namespace maxel::proto

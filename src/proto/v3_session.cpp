@@ -136,8 +136,6 @@ void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
   seed.label_seed = session.label_seed;
   send_seed_expansion(ch, seed);
 
-  const std::size_t d_bytes = (n_in + 7) / 8;
-  std::vector<std::uint8_t> d(d_bytes);
   std::uint64_t idx = claim.start;
   for (const auto& m : session.rounds) {
     V3RoundFrame frame;
@@ -145,15 +143,24 @@ void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
     frame.output_map = m.output_map;
     send_round_frame(ch, frame);
     ch.flush();
-
-    ch.recv_bytes(d.data(), d.size());
-    for (std::size_t j = 0; j < n_in; ++j, ++idx) {
-      crypto::Block z = pool.pad(idx) ^ m.evaluator_pairs[j].first;
-      if ((d[j / 8] >> (j % 8)) & 1u) z ^= session.delta;
-      ch.send_block(z);
-    }
-    ch.flush();
+    answer_v3_round(ch, m, session.delta, pool, idx);
+    idx += n_in;
   }
+}
+
+void answer_v3_round(Channel& ch, const gc::V3RoundMaterial& m,
+                     const crypto::Block& delta,
+                     const ot::CorrelatedPoolSender& pool,
+                     std::uint64_t first_index) {
+  const std::size_t n_in = m.evaluator_pairs.size();
+  std::vector<std::uint8_t> d((n_in + 7) / 8);
+  ch.recv_bytes(d.data(), d.size());
+  for (std::size_t j = 0; j < n_in; ++j) {
+    crypto::Block z = pool.pad(first_index + j) ^ m.evaluator_pairs[j].first;
+    if ((d[j / 8] >> (j % 8)) & 1u) z ^= delta;
+    ch.send_block(z);
+  }
+  ch.flush();
 }
 
 std::vector<bool> eval_v3_rounds(

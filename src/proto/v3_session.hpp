@@ -68,10 +68,20 @@ PrecomputedSessionV3 garble_session_v3(
 // session.round_count() * c.evaluator_inputs.size() pool indices and
 // the pool's delta must match the session's (checked via lineage).
 // Throws on any transport error; the caller owns claim consume/discard.
+// The in-process reference for the session core's v3 mode.
 void serve_v3_rounds(Channel& ch, const circuit::Circuit& c,
                      const PrecomputedSessionV3& session,
                      ot::CorrelatedPoolSender& pool,
                      const ot::PoolClaim& claim);
+
+// One round's label reply, shared by serve_v3_rounds and the session
+// core: receives the evaluator's packed derandomization bits d and
+// answers input j with pad(first_index + j) ^ L0_j ^ d_j*delta, then
+// flushes.
+void answer_v3_round(Channel& ch, const gc::V3RoundMaterial& m,
+                     const crypto::Block& delta,
+                     const ot::CorrelatedPoolSender& pool,
+                     std::uint64_t first_index);
 
 // Evaluator twin: consumes the same byte stream, drawing its input
 // labels from the pool via the derandomized exchange. evaluator_bits[r]

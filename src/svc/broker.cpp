@@ -94,6 +94,18 @@ Broker::Broker(const BrokerConfig& cfg)
   if (cfg_.spool_high_watermark < cfg_.spool_low_watermark)
     cfg_.spool_high_watermark = cfg_.spool_low_watermark;
   if (expect_.allow_reusable) ensure_reusable();
+
+  serve_ctx_.circ = &circ_;
+  serve_ctx_.expect = expect_;
+  serve_ctx_.reg = &v3_reg_;
+  serve_ctx_.reusable = reusable_ctx_ ? &*reusable_ctx_ : nullptr;
+  serve_ctx_.bits = cfg_.bits;
+  serve_ctx_.rounds = cfg_.rounds_per_session;
+  serve_ctx_.demo_seed = cfg_.demo_seed;
+  serve_ctx_.scheme = cfg_.scheme;
+  serve_ctx_.stream_chunk_rounds = cfg_.stream_chunk_rounds;
+  serve_ctx_.take_session = [this] { return take_session_blocking(); };
+  serve_ctx_.take_v3 = [this] { return take_v3_blocking(); };
 }
 
 void Broker::ensure_reusable() {
@@ -240,117 +252,91 @@ void Broker::producer_loop() {
   }
 }
 
-void Broker::serve_connection(proto::Channel& ch, std::size_t worker) {
-  net::ServerStats local;
-  const auto t_hs = Clock::now();
-  try {
-    const net::V23Handshake hs = net::server_handshake_v23(ch, expect_);
-    const net::ClientHello& hello = hs.hello;
-    local.handshake_seconds = seconds_since(t_hs);
-    metrics_.histogram("handshake_seconds").observe(local.handshake_seconds);
-
-    const bool v3 = hs.version == net::kProtocolVersionV3;
-    const bool reusable =
-        v3 &&
-        hello.mode == static_cast<std::uint8_t>(net::SessionMode::kReusable);
-    const bool stream =
-        !v3 &&
-        hello.mode == static_cast<std::uint8_t>(net::SessionMode::kStream);
-    const auto t_sess = Clock::now();
-    if (reusable) {
-      // Garble-once lane: every worker serves off the one read-only
-      // context built at startup; the only per-session cost is the
-      // pool claim and the d/z exchange. The persisted evaluation
-      // counter is what `maxelctl spool` reports per artifact.
-      net::serve_reusable_session(ch, v3_reg_, *hs.ext, *reusable_ctx_,
-                                  local);
-      spool_.add_reusable_evaluations(reusable_key_,
-                                      cfg_.rounds_per_session);
-      metrics_.counter("reusable_sessions_served").inc();
-    } else if (v3) {
-      // Slim-wire session from the spool's v3 lane; the registry holds
-      // this client's OT pool across connections (and across concurrent
-      // sessions — pool I/O is serialized per client inside).
-      net::serve_v3_session(ch, v3_reg_, *hs.ext, circ_, take_v3_blocking(),
-                            local);
-      metrics_.counter("v3_sessions_served").inc();
-    } else if (stream) {
-      // Garble-while-transfer: the worker garbles on the fly, so the
-      // spool (and its disk round trip) is bypassed entirely.
-      net::StreamOptions sopt;
-      sopt.chunk_rounds = cfg_.stream_chunk_rounds;
-      sopt.queue_chunks = cfg_.stream_queue_chunks;
-      net::serve_streaming_session(ch, hello, circ_, cfg_.scheme,
-                                   cfg_.rounds_per_session, cfg_.bits, sopt,
-                                   cfg_.demo_seed, *worker_rngs_[worker],
-                                   local);
-      metrics_.counter("stream_sessions_served").inc();
-      metrics_.histogram("first_table_seconds")
+net::ServerStats record_session(MetricsRegistry& metrics,
+                                const evloop::EvSession& s,
+                                bool evicted_idle) {
+  net::ServerStats local = s.stats();
+  if (s.done()) {
+    metrics.histogram("handshake_seconds").observe(local.handshake_seconds);
+    metrics.histogram("transfer_seconds").observe(local.transfer_seconds);
+    metrics.histogram("ot_seconds").observe(local.ot_seconds);
+    metrics.histogram("session_seconds").observe(s.session_seconds());
+    metrics.counter("sessions_served").inc();
+    metrics.counter("rounds_served").inc(local.rounds_served);
+    if (local.stream_sessions_served != 0) {
+      metrics.counter("stream_sessions_served").inc();
+      metrics.histogram("first_table_seconds")
           .observe(local.first_table_seconds);
-    } else {
-      net::serve_precomputed_session(ch, hello, take_session_blocking(),
-                                     cfg_.rounds_per_session, cfg_.bits,
-                                     cfg_.demo_seed, *worker_rngs_[worker],
-                                     local);
     }
+    if (local.v3_sessions_served != 0)
+      metrics.counter("v3_sessions_served").inc();
+    if (local.reusable_sessions_served != 0)
+      metrics.counter("reusable_sessions_served").inc();
     // Service-wide high-water mark of garbled tables resident for any
-    // one session (whole session precomputed, bounded queue streamed).
-    auto& peak = metrics_.gauge("peak_resident_tables");
+    // one session (whole session precomputed, one chunk streamed).
+    auto& peak = metrics.gauge("peak_resident_tables");
     if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
       peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
-    metrics_.histogram("transfer_seconds").observe(local.transfer_seconds);
-    metrics_.histogram("ot_seconds").observe(local.ot_seconds);
-    metrics_.histogram("session_seconds").observe(seconds_since(t_sess));
-    metrics_.counter("sessions_served").inc();
-    metrics_.counter("rounds_served").inc(local.rounds_served);
     // Per-direction wire accounting, split by session mode so a fleet
     // can read the v2->v3 bandwidth win straight off `maxelctl stats`.
-    const char* mode = reusable ? "reusable"
-                                : (v3 ? "v3" : (stream ? "stream" : "precomputed"));
-    metrics_.counter(std::string("net_tx_bytes_") + mode).inc(ch.bytes_sent());
-    metrics_.counter(std::string("net_rx_bytes_") + mode)
-        .inc(ch.bytes_received());
+    const std::string mode = s.mode_name();
+    metrics.counter("net_tx_bytes_" + mode).inc(local.bytes_sent);
+    metrics.counter("net_rx_bytes_" + mode).inc(local.bytes_received);
+    return local;
+  }
+  switch (evicted_idle ? evloop::EvError::kTimeout : s.error()) {
+    case evloop::EvError::kHandshake:
+      ++local.handshakes_rejected;
+      metrics.counter("handshakes_rejected").inc();
+      break;
+    case evloop::EvError::kTimeout:
+      // The client went silent or stopped draining; its session is
+      // abandoned so it cannot pin a worker or a connection slot.
+      ++local.idle_timeouts;
+      ++local.connection_errors;
+      metrics.counter("idle_timeouts").inc();
+      metrics.counter("connection_errors").inc();
+      break;
+    case evloop::EvError::kPeerClosed:
+      // Mid-session hangup — the signature a crashing or retrying
+      // client leaves behind; tracked separately so fleets can tell
+      // churn from protocol errors.
+      ++local.connection_errors;
+      metrics.counter("peer_disconnects").inc();
+      metrics.counter("connection_errors").inc();
+      break;
+    default:
+      ++local.connection_errors;
+      metrics.counter("connection_errors").inc();
+      break;
+  }
+  return local;
+}
 
+void Broker::serve_connection(proto::Channel& ch, std::size_t worker) {
+  evloop::EvSession session(serve_ctx_, ch);
+  session.serve_blocking();
+  const net::ServerStats local = record_session(metrics_, session);
+  if (session.done()) {
+    // The persisted evaluation counter is what `maxelctl spool` reports
+    // per reusable artifact.
+    if (local.reusable_sessions_served != 0)
+      spool_.add_reusable_evaluations(reusable_key_,
+                                      cfg_.rounds_per_session);
     const std::uint64_t total =
         sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cfg_.verbose)
       std::fprintf(stderr,
                    "[broker] worker %zu served session %llu (%s): %zu rounds, "
                    "%llu B out, transfer %.3fs, ot %.3fs\n",
-                   worker, static_cast<unsigned long long>(total), mode,
-                   cfg_.rounds_per_session,
-                   static_cast<unsigned long long>(ch.bytes_sent()),
+                   worker, static_cast<unsigned long long>(total),
+                   session.mode_name(), cfg_.rounds_per_session,
+                   static_cast<unsigned long long>(local.bytes_sent),
                    local.transfer_seconds, local.ot_seconds);
     if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
-  } catch (const net::HandshakeError& e) {
-    ++local.handshakes_rejected;
-    metrics_.counter("handshakes_rejected").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] rejected client: %s\n", e.what());
-  } catch (const net::TimeoutError& e) {
-    // The per-connection idle deadline fired: the client went silent or
-    // stopped draining. The worker abandons the session and is free for
-    // the next connection — a stalled client cannot pin it.
-    ++local.idle_timeouts;
-    ++local.connection_errors;
-    metrics_.counter("idle_timeouts").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] idle timeout: %s\n", e.what());
-  } catch (const net::PeerClosedError& e) {
-    // Mid-session hangup — the signature a crashing or retrying client
-    // leaves behind; tracked separately so fleets can tell churn from
-    // protocol errors.
-    ++local.connection_errors;
-    metrics_.counter("peer_disconnects").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] peer disconnected: %s\n", e.what());
-  } catch (const std::exception& e) {
-    ++local.connection_errors;
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] connection error: %s\n", e.what());
+  } else if (cfg_.verbose) {
+    std::fprintf(stderr, "[broker] worker %zu session failed: %s\n", worker,
+                 session.error_text().c_str());
   }
   if (injector_)
     metrics_.gauge("faults_injected")
@@ -396,9 +382,6 @@ void Broker::run() {
 
   std::thread producer([this] { producer_loop(); });
   std::vector<std::thread> workers;
-  worker_rngs_.clear();
-  for (std::size_t w = 0; w < cfg_.workers; ++w)
-    worker_rngs_.push_back(std::make_unique<crypto::SystemRandom>());
   for (std::size_t w = 0; w < cfg_.workers; ++w)
     workers.emplace_back([this, w] { worker_loop(w); });
 

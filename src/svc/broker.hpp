@@ -1,5 +1,5 @@
-// Concurrent session broker — the multi-tenant serving tier over the
-// single-connection net::Server machinery.
+// Concurrent session broker — the multi-tenant worker-pool front over
+// the server-side session core (evloop/session.hpp).
 //
 // Threads (all owned by run()):
 //   accept loop (caller's thread): polls the listener with a short
@@ -8,11 +8,11 @@
 //     full — sends the typed kServerBusy reject and closes, so an
 //     overloaded broker degrades into fast, explicit rejections instead
 //     of unbounded queueing or silent drops.
-//   N workers: pop a connection, handshake, claim a session from the
-//     disk-backed SessionSpool, stream it (the same
-//     serve_precomputed_session core the sequential server uses), fold
-//     timings into per-worker ServerStats (merged on demand) and the
-//     shared MetricsRegistry.
+//   N workers: pop a connection and serve it through an EvSession on
+//     the blocking driver (sessions come from the disk-backed
+//     SessionSpool), then fold its outcome into per-worker ServerStats
+//     (merged on demand) and the shared MetricsRegistry via
+//     record_session — the same accounting the event-loop front uses.
 //   producer: keeps the spool between its low/high watermarks, garbling
 //     batches on a core::GcCorePool — the software stand-in for
 //     MAXelerator streaming fresh sessions up over PCIe.
@@ -36,7 +36,7 @@
 
 #include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
-#include "crypto/rng.hpp"
+#include "evloop/session.hpp"
 #include "gc/v3.hpp"
 #include "net/fault.hpp"
 #include "net/handshake.hpp"
@@ -69,10 +69,9 @@ struct BrokerConfig {
 
   std::uint64_t max_sessions = 0;  // stop after serving this many; 0 = forever
   bool verbose = true;
-  // Stream-mode (garble-while-transfer) tuning; stream sessions garble
-  // on the worker thread and never touch the spool.
+  // Stream-mode (garble-while-transfer) rounds per chunk; stream
+  // sessions garble on the worker thread and never touch the spool.
   std::size_t stream_chunk_rounds = 16;
-  std::size_t stream_queue_chunks = 4;
   bool allow_stream = true;
   bool allow_v3 = true;  // accept protocol-v3 hellos (slim wire + OT pool)
   // Reusable-circuit sessions (garble once, evaluate forever). Rides on
@@ -103,6 +102,16 @@ struct BrokerStats {
 
   [[nodiscard]] std::string to_json() const;
 };
+
+// Folds one session-core outcome into `metrics`: histograms, counters
+// and per-mode wire bytes for a served session, the failure taxonomy
+// otherwise (an event-loop idle eviction counts like a blocking
+// timeout). Returns the session's stats block with its failure counters
+// applied, ready to merge into the front's totals. Shared by Broker
+// and evloop::EvBroker.
+net::ServerStats record_session(MetricsRegistry& metrics,
+                                const evloop::EvSession& s,
+                                bool evicted_idle = false);
 
 class Broker {
  public:
@@ -178,9 +187,7 @@ class Broker {
   std::atomic<bool> producer_stop_{false};  // set after workers drain
   std::atomic<std::uint64_t> sessions_served_total_{0};
   std::atomic<std::uint64_t> precomputed_{0};
-
-  // One OT randomness source per worker (index-stable across the run).
-  std::vector<std::unique_ptr<crypto::SystemRandom>> worker_rngs_;
+  evloop::EvServeContext serve_ctx_;
 
   // Bounded admission queue; workers block on queue_cv_.
   mutable std::mutex queue_mu_;

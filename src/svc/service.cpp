@@ -142,7 +142,6 @@ int broker_command(int argc, char** argv) {
     else if (flag == "--json") { const char* v = p.value(); if (v) json_path = v; }
     else if (flag == "--quiet") cfg.verbose = false;
     else if (flag == "--chunk-rounds") cfg.stream_chunk_rounds = p.value_u64();
-    else if (flag == "--queue-chunks") cfg.stream_queue_chunks = p.value_u64();
     else if (flag == "--mode") {
       ModeChoice mc;
       if (!parse_mode(p.value(), mc)) {
@@ -153,10 +152,6 @@ int broker_command(int argc, char** argv) {
       cfg.allow_v3 = mc.v3;
       cfg.allow_reusable = mc.reusable;
     }
-    // Deprecated aliases of --mode, kept so existing scripts work.
-    else if (flag == "--no-stream") cfg.allow_stream = false;
-    else if (flag == "--no-v3") cfg.allow_v3 = false;
-    else if (flag == "--no-reusable") cfg.allow_reusable = false;
     else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
     else if (flag == "--fault-plan") { const char* v = p.value(); if (v) cfg.fault_plan = v; }
     else if (flag == "--scheme") {
@@ -173,7 +168,7 @@ int broker_command(int argc, char** argv) {
   }
   if (!p.ok || cfg.bits == 0 || cfg.rounds_per_session == 0 ||
       cfg.workers == 0 || cfg.spool_dir.empty() ||
-      cfg.stream_chunk_rounds == 0 || cfg.stream_queue_chunks == 0) {
+      cfg.stream_chunk_rounds == 0) {
     std::fprintf(stderr,
                  "maxelctl serve (broker): bad flags (--spool DIR required)\n");
     return 2;

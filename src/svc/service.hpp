@@ -13,8 +13,7 @@ namespace maxel::svc {
 // Runs the concurrent Broker. maxelctl routes `serve` here whenever
 // --spool or --workers is present; otherwise the sequential
 // net::serve_command handles it. --mode gates the optional session
-// families exactly like the sequential server (--no-stream/--no-v3/
-// --no-reusable remain as deprecated aliases).
+// families exactly like the sequential server.
 int broker_command(int argc, char** argv);
 
 // maxelctl spool --dir DIR [--fill K --bits N --rounds M [--scheme S]]

@@ -33,6 +33,7 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/session.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -843,15 +844,20 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   auto client_ch = net::TcpChannel::connect("127.0.0.1", lis.port(), topt);
   accept.join();
 
+  evloop::EvServeContext sctx;
+  sctx.circ = &circ;
+  sctx.expect = ex;
+  sctx.reg = &reg;
+  sctx.reusable = &ctx;
+  sctx.bits = kBits;
+  sctx.rounds = kRounds;
   std::thread server([&] {
-    try {
-      const net::V23Handshake hs = net::server_handshake_v23(*server_ch, ex);
-      net::ServerStats local;
-      net::serve_reusable_session(*server_ch, reg, *hs.ext, ctx, local);
-    } catch (const net::NetError&) {
-      // The client hangs up at the checksum; any typed death is fine —
-      // the claim-discard assertion below is what matters.
-    }
+    // The session core on its blocking driver, stepped on the accepted
+    // socket. The client hangs up at the checksum; any typed death is
+    // fine — the claim-discard assertion below is what matters.
+    evloop::EvSession session(sctx, *server_ch);
+    session.serve_blocking();
+    EXPECT_TRUE(session.failed());
   });
 
   net::ClientHello hello;

@@ -7,7 +7,7 @@
 #
 # Inputs (environment): SERVER and CLIENT point at the built binaries.
 # MODE selects the delivery path: "precomputed" (default) serves from
-# the garbling bank; "stream" passes --stream to the client and checks
+# the garbling bank; "stream" passes --mode stream to the client and checks
 # the chunked garble-while-transfer pipeline; "reusable" runs two
 # client processes against one garble-once server and proves a single
 # garbling fed both sessions; "chaos" replays a matrix of
@@ -24,7 +24,7 @@ MODE="${MODE:-precomputed}"
 client_args=()
 case "$MODE" in
   precomputed) ;;
-  stream) client_args+=(--stream) ;;
+  stream) client_args+=(--mode stream) ;;
   reusable) ;;
   chaos) ;;
   *) echo "unknown MODE '$MODE' (want precomputed|stream|reusable|chaos)"; exit 1 ;;

@@ -7,7 +7,9 @@
 // dense one: same seed, byte-identical round material.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/bristol.hpp"
@@ -21,8 +23,8 @@
 #include "gc/garble.hpp"
 #include "gc/reusable.hpp"
 #include "gc/streaming_evaluator.hpp"
-#include "gc/streaming_garbler.hpp"
 #include "gc/v3.hpp"
+#include "proto/chunk_io.hpp"
 #include "proto/precompute.hpp"
 
 namespace maxel {
@@ -67,8 +69,7 @@ std::vector<Words> run_plain(const Circuit& c,
 }
 
 // Selects active input labels from a RoundMaterial and evaluates one
-// round on a StreamingEvaluator (shared by the precomputed and
-// streaming drivers below).
+// round on a StreamingEvaluator (the precomputed driver below).
 Words eval_material_round(const gc::RoundMaterial& m, const Block& delta,
                           const RoundInputs& in, gc::StreamingEvaluator& ev) {
   std::vector<Block> g(in.garbler_bits.size());
@@ -97,21 +98,35 @@ std::vector<Words> run_precomputed(
   return out;
 }
 
+// Stream mode as the session core runs it: one planned-layout garbler,
+// rounds garbled inline into 3-round wire chunks (proto::garble_chunk),
+// evaluator labels selected from the pairs kept back for the OT.
 std::vector<Words> run_streaming(
     const Circuit& c, const std::vector<RoundInputs>& rounds,
     std::uint64_t seed) {
-  gc::StreamingGarbler sg(c, gc::Scheme::kHalfGates, rounds.size(),
-                          {.chunk_rounds = 3, .queue_chunks = 2},
-                          Block{seed, 0x57E});
+  SystemRandom rng(Block{seed, 0x57E});
+  gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng,
+                             gc::LabelLayout::kPlanned);
   gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
   std::vector<Words> out;
-  gc::SessionChunk chunk;
-  while (sg.next_chunk(chunk)) {
-    if (chunk.first_round == 0)
-      ev.set_initial_state_labels(chunk.initial_state_labels);
-    for (std::size_t i = 0; i < chunk.rounds.size(); ++i)
-      out.push_back(eval_material_round(chunk.rounds[i], sg.delta(),
-                                        rounds[chunk.first_round + i], ev));
+  for (std::size_t first = 0; first < rounds.size(); first += 3) {
+    std::vector<std::vector<bool>> a_bits;
+    for (std::size_t r = first; r < std::min(first + 3, rounds.size()); ++r)
+      a_bits.push_back(rounds[r].garbler_bits);
+    std::vector<std::vector<std::pair<Block, Block>>> pairs;
+    const proto::WireChunk wc = proto::garble_chunk(garbler, a_bits, pairs);
+    if (wc.first_round == 0)
+      ev.set_initial_state_labels(wc.initial_state_labels);
+    for (std::size_t i = 0; i < wc.rounds.size(); ++i) {
+      const proto::WireChunk::Round& wr = wc.rounds[i];
+      const RoundInputs& in = rounds[first + i];
+      std::vector<Block> e(in.evaluator_bits.size());
+      for (std::size_t j = 0; j < e.size(); ++j)
+        e[j] = in.evaluator_bits[j] ? pairs[i][j].second : pairs[i][j].first;
+      const auto labels =
+          ev.eval_round(wr.tables, wr.garbler_labels, e, wr.fixed_labels);
+      out.push_back(from_bits(gc::decode_with_map(labels, wr.output_map)));
+    }
   }
   return out;
 }

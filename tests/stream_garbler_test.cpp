@@ -1,53 +1,67 @@
-// The garble-while-transfer producer: chunk order and coverage, end-to-
-// end correctness of a chunked session against the plaintext MAC fold,
-// determinism across identically-seeded garblers, the queue's
-// backpressure residency bound, and clean teardown when the consumer
-// abandons the stream mid-session.
+// The stream-mode producer (proto::garble_chunk, what the session core
+// garbles each chunk with): chunk order and coverage, end-to-end
+// correctness of a chunked session against the plaintext MAC fold, and
+// determinism across identically-seeded garblers. Delivery over a real
+// wire — chunk framing, per-round OT, byte-at-a-time readiness — is
+// covered by NetService.StreamSession* and
+// EvSessionShuttleTest.StreamByteAtATime.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
+#include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include "gc/streaming_garbler.hpp"
+#include "proto/chunk_io.hpp"
 
 namespace maxel::gc {
 namespace {
 
 using circuit::MacOptions;
 using crypto::Block;
+using Pairs = std::vector<std::vector<std::pair<Block, Block>>>;
 
-StreamingGarbler::Options opts(std::size_t chunk_rounds,
-                               std::size_t queue_chunks) {
-  StreamingGarbler::Options o;
-  o.chunk_rounds = chunk_rounds;
-  o.queue_chunks = queue_chunks;
-  return o;
+// Garbles `rounds` rounds in chunks of `chunk_rounds`, garbler inputs
+// all zero, and returns the chunks with their kept-back label pairs.
+std::vector<std::pair<proto::WireChunk, Pairs>> garble_chunks(
+    CircuitGarbler& g, std::size_t n_garbler_inputs, std::size_t rounds,
+    std::size_t chunk_rounds) {
+  std::vector<std::pair<proto::WireChunk, Pairs>> out;
+  for (std::size_t first = 0; first < rounds; first += chunk_rounds) {
+    const std::vector<std::vector<bool>> a_bits(
+        std::min(chunk_rounds, rounds - first),
+        std::vector<bool>(n_garbler_inputs, false));
+    Pairs pairs;
+    proto::WireChunk wc = proto::garble_chunk(g, a_bits, pairs);
+    out.emplace_back(std::move(wc), std::move(pairs));
+  }
+  return out;
 }
 
 TEST(StreamGarbler, ChunksArriveInOrderAndCoverEveryRound) {
   const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
   const std::size_t rounds = 10;  // 4 + 4 + 2: exercises the short tail
-  StreamingGarbler sg(c, Scheme::kHalfGates, rounds, opts(4, 2), Block{1, 2});
+  crypto::SystemRandom rng(Block{1, 2});
+  CircuitGarbler g(c, Scheme::kHalfGates, rng, LabelLayout::kPlanned);
 
-  SessionChunk chunk;
-  std::size_t next_round = 0, chunks = 0;
-  while (sg.next_chunk(chunk)) {
-    EXPECT_EQ(chunk.first_round, next_round);
-    EXPECT_LE(chunk.rounds.size(), 4u);
+  std::size_t next_round = 0;
+  const auto chunks = garble_chunks(g, c.garbler_inputs.size(), rounds, 4);
+  for (const auto& [wc, pairs] : chunks) {
+    EXPECT_EQ(wc.first_round, next_round);
+    EXPECT_EQ(wc.scheme, Scheme::kHalfGates);
+    EXPECT_LE(wc.rounds.size(), 4u);
+    EXPECT_EQ(pairs.size(), wc.rounds.size());
     // Round-0 DFF state labels ride on chunk 0 and only chunk 0.
-    EXPECT_EQ(chunk.initial_state_labels.empty(), next_round != 0);
-    next_round += chunk.rounds.size();
-    ++chunks;
+    EXPECT_EQ(wc.initial_state_labels.empty(), next_round != 0);
+    next_round += wc.rounds.size();
   }
   EXPECT_EQ(next_round, rounds);
-  EXPECT_EQ(chunks, 3u);
-  // Exhausted streams stay exhausted.
-  EXPECT_FALSE(sg.next_chunk(chunk));
+  EXPECT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(g.rounds_garbled(), rounds);
 }
 
 // Full-session correctness: every chunked round evaluates and decodes to
@@ -56,38 +70,39 @@ TEST(StreamGarbler, ChunksArriveInOrderAndCoverEveryRound) {
 TEST(StreamGarbler, ChunkedSessionEvaluatesToReferenceMac) {
   const MacOptions mac{8, 8, true};
   const circuit::Circuit c = circuit::make_mac_circuit(mac);
-  const std::size_t rounds = 11;
-  StreamingGarbler sg(c, Scheme::kHalfGates, rounds, opts(3, 2), Block{7, 9});
+  const std::size_t rounds = 11, chunk_rounds = 3;
+  crypto::SystemRandom rng(Block{7, 9});
+  CircuitGarbler g(c, Scheme::kHalfGates, rng, LabelLayout::kPlanned);
   CircuitEvaluator ev(c, Scheme::kHalfGates);
 
   crypto::Prg prg(Block{5, 5});
   std::uint64_t expect = 0, decoded = 0;
   std::size_t done = 0;
-  SessionChunk chunk;
-  while (sg.next_chunk(chunk)) {
-    if (chunk.first_round == 0)
-      ev.set_initial_state_labels(chunk.initial_state_labels);
-    for (const RoundMaterial& rm : chunk.rounds) {
+  for (std::size_t first = 0; first < rounds; first += chunk_rounds) {
+    std::vector<std::vector<bool>> a_bits, x_bits;
+    for (std::size_t r = first; r < std::min(first + chunk_rounds, rounds);
+         ++r) {
       const std::uint64_t a = prg.next_u64() & 0xFF;
       const std::uint64_t x = prg.next_u64() & 0xFF;
       expect = circuit::mac_reference(expect, a, x, mac);
-
-      // Garbler side: select active input labels with the input bits.
-      const auto a_bits = circuit::to_bits(a, 8);
-      std::vector<Block> g_labels = rm.garbler_labels0;
-      for (std::size_t i = 0; i < g_labels.size(); ++i)
-        if (a_bits[i]) g_labels[i] ^= sg.delta();
+      a_bits.push_back(circuit::to_bits(a, 8));
+      x_bits.push_back(circuit::to_bits(x, 8));
+    }
+    Pairs pairs;
+    const proto::WireChunk wc = proto::garble_chunk(g, a_bits, pairs);
+    if (wc.first_round == 0)
+      ev.set_initial_state_labels(wc.initial_state_labels);
+    for (std::size_t i = 0; i < wc.rounds.size(); ++i) {
       // Evaluator side: what OT would deliver for choice bits x.
-      const auto x_bits = circuit::to_bits(x, 8);
       std::vector<Block> e_labels;
-      e_labels.reserve(rm.evaluator_pairs.size());
-      for (std::size_t i = 0; i < rm.evaluator_pairs.size(); ++i)
-        e_labels.push_back(x_bits[i] ? rm.evaluator_pairs[i].second
-                                     : rm.evaluator_pairs[i].first);
-
-      const auto out =
-          ev.eval_round(rm.tables, g_labels, e_labels, rm.fixed_labels);
-      decoded = circuit::from_bits(decode_with_map(out, rm.output_map));
+      for (std::size_t j = 0; j < pairs[i].size(); ++j)
+        e_labels.push_back(x_bits[i][j] ? pairs[i][j].second
+                                        : pairs[i][j].first);
+      const auto out = ev.eval_round(wc.rounds[i].tables,
+                                     wc.rounds[i].garbler_labels, e_labels,
+                                     wc.rounds[i].fixed_labels);
+      decoded =
+          circuit::from_bits(decode_with_map(out, wc.rounds[i].output_map));
       ++done;
     }
   }
@@ -95,82 +110,25 @@ TEST(StreamGarbler, ChunkedSessionEvaluatesToReferenceMac) {
   EXPECT_EQ(decoded, expect);
 }
 
-// Two identically-seeded streaming garblers emit bit-identical chunks —
-// the property the bench leans on when it compares modes, and the
-// reason a resumed/retried session cannot silently diverge.
+// Two identically-seeded garblers emit bit-identical chunks — the
+// reason a resumed or retried stream session cannot silently diverge
+// from what the seed determines.
 TEST(StreamGarbler, IdenticalSeedsProduceIdenticalChunks) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
   const std::size_t rounds = 6;
-  StreamingGarbler a(c, Scheme::kGrr3, rounds, opts(2, 2), Block{42, 43});
-  StreamingGarbler b(c, Scheme::kGrr3, rounds, opts(2, 2), Block{42, 43});
+  crypto::SystemRandom rng_a(Block{42, 43}), rng_b(Block{42, 43});
+  CircuitGarbler a(c, Scheme::kGrr3, rng_a, LabelLayout::kPlanned);
+  CircuitGarbler b(c, Scheme::kGrr3, rng_b, LabelLayout::kPlanned);
   EXPECT_EQ(a.delta(), b.delta());
 
-  SessionChunk ca, cb;
-  while (a.next_chunk(ca)) {
-    ASSERT_TRUE(b.next_chunk(cb));
-    ASSERT_EQ(ca.rounds.size(), cb.rounds.size());
-    for (std::size_t r = 0; r < ca.rounds.size(); ++r) {
-      EXPECT_EQ(ca.rounds[r].tables.tables, cb.rounds[r].tables.tables);
-      EXPECT_EQ(ca.rounds[r].garbler_labels0, cb.rounds[r].garbler_labels0);
-      EXPECT_EQ(ca.rounds[r].evaluator_pairs, cb.rounds[r].evaluator_pairs);
-      EXPECT_EQ(ca.rounds[r].output_map, cb.rounds[r].output_map);
-    }
+  const auto ca = garble_chunks(a, c.garbler_inputs.size(), rounds, 2);
+  const auto cb = garble_chunks(b, c.garbler_inputs.size(), rounds, 2);
+  ASSERT_EQ(ca.size(), cb.size());
+  for (std::size_t k = 0; k < ca.size(); ++k) {
+    EXPECT_EQ(proto::serialize_chunk(ca[k].first),
+              proto::serialize_chunk(cb[k].first));
+    EXPECT_EQ(ca[k].second, cb[k].second);
   }
-  EXPECT_FALSE(b.next_chunk(cb));
-}
-
-// The memory claim the streaming mode exists for: with a deliberately
-// slow consumer, residency saturates at the backpressure bound — queued
-// chunks plus the one in service — instead of growing with the session.
-TEST(StreamGarbler, BackpressureBoundsResidentTables) {
-  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
-  const std::size_t rounds = 12, chunk_rounds = 1, queue_chunks = 2;
-  StreamingGarbler sg(c, Scheme::kHalfGates, rounds,
-                      opts(chunk_rounds, queue_chunks), Block{3, 4});
-
-  std::uint64_t tables_per_round = 0;
-  SessionChunk chunk;
-  while (sg.next_chunk(chunk)) {
-    if (tables_per_round == 0)
-      tables_per_round = chunk.rounds.front().tables.tables.size();
-    // Slow consumer: let the producer run ahead into the queue bound.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  ASSERT_GT(tables_per_round, 0u);
-  EXPECT_LE(sg.peak_queue_depth(), queue_chunks);
-  // queued (<= queue_chunks chunks) + the popped chunk still in service.
-  EXPECT_LE(sg.peak_resident_tables(),
-            (queue_chunks + 1) * chunk_rounds * tables_per_round);
-  // Far below the precomputed path's whole-session residency.
-  EXPECT_LT(sg.peak_resident_tables(), rounds * tables_per_round);
-}
-
-// Client hangup mid-stream: destroying the garbler with chunks undrained
-// must close the queue, unblock the producer and join — no deadlock,
-// no leaked thread (tsan runs this suite).
-TEST(StreamGarbler, AbandoningMidStreamJoinsCleanly) {
-  const circuit::Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
-  StreamingGarbler sg(c, Scheme::kHalfGates, 200, opts(1, 2), Block{8, 8});
-  SessionChunk chunk;
-  ASSERT_TRUE(sg.next_chunk(chunk));  // producer is certainly running
-  // Destructor does the rest.
-}
-
-TEST(ChunkQueue, CloseDrainsThenReportsEnd) {
-  ChunkQueue q(2);
-  SessionChunk c;
-  c.first_round = 7;
-  EXPECT_TRUE(q.push(std::move(c)));
-  q.close();
-
-  SessionChunk out;
-  EXPECT_TRUE(q.pop(out));  // queued data survives close
-  EXPECT_EQ(out.first_round, 7u);
-  EXPECT_FALSE(q.pop(out));  // drained + closed
-
-  SessionChunk late;
-  EXPECT_FALSE(q.push(std::move(late)));  // producers see the close
 }
 
 }  // namespace

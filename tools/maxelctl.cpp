@@ -22,11 +22,11 @@
 //       broker (--spool DIR or --workers N — see src/svc/service.hpp
 //       and docs/OPERATIONS.md), or the sharded event-loop broker
 //       (--evloop [--shards N] — see src/evloop/ev_service.hpp); all
-//       take the unified session-mode
-//       selector --mode {precomputed|stream|v3|reusable} (the client
-//       side of `connect` takes the same flag to pick what it asks
-//       for; --stream/--v3/--no-stream/--no-v3/--no-reusable survive
-//       as deprecated aliases). `reusable` trades garbler privacy for
+//       three serve every connection through the same session core
+//       and take the session-mode selector
+//       --mode {precomputed|stream|v3|reusable} (the client side of
+//       `connect` takes the same flag to pick what it asks for; it is
+//       the only mode switch). `reusable` trades garbler privacy for
 //       garble-once throughput — see docs/SECURITY_MODELS.md. `connect`
 //       retries failed sessions from scratch with
 //       --retries/--retry-backoff; both sides take --fault-plan SPEC
