@@ -64,7 +64,7 @@ class JsonReporter {
       return *this;
     }
     Row& str(const std::string& key, const std::string& v) {
-      fields_.emplace_back(key, "\"" + escape(v) + "\"");
+      fields_.emplace_back(key, '"' + escape(v) + '"');
       return *this;
     }
 

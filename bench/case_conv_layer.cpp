@@ -6,7 +6,7 @@
 //                     nested-loop convolution that never forms the
 //                     im2col matrix;
 //   phase 2 (broker)  the same layer shape served as reusable-mode
-//                     sessions through a live svc::Broker over loopback
+//                     sessions through a live EvBroker over loopback
 //                     TCP — one session per output element, patch()
 //                     MAC rounds per session, driven by the evloop
 //                     loadgen. This is the serving-path cost of the
@@ -29,9 +29,9 @@
 
 #include "bench_util.hpp"
 #include "crypto/prg.hpp"
+#include "evloop/ev_broker.hpp"
 #include "evloop/loadgen.hpp"
 #include "ml/conv_layer.hpp"
-#include "svc/broker.hpp"
 
 namespace {
 
@@ -83,20 +83,18 @@ BrokerRun run_broker(const ml::ConvLayerShape& s) {
   const fs::path spool_dir =
       fs::temp_directory_path() / "maxel_bench_conv_spool";
   fs::remove_all(spool_dir);
-  svc::BrokerConfig cfg;
+  evloop::EvBrokerConfig cfg;
   cfg.bind_addr = "127.0.0.1";
   cfg.port = 0;
   cfg.bits = kBits;
   cfg.rounds_per_session = s.patch();
   cfg.spool_dir = spool_dir.string();
-  cfg.workers = 8;
-  cfg.admission_queue = 96;
-  cfg.accept_poll_ms = 50;
+  cfg.shards = 2;
   cfg.spool_low_watermark = 0;  // reusable sessions never touch the
   cfg.spool_high_watermark = 0;  // precomputed spool
   cfg.ram_cache_sessions = 0;
   cfg.verbose = false;
-  svc::Broker broker(cfg);
+  evloop::EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   evloop::LoadgenConfig lcfg;

@@ -19,6 +19,41 @@
 #include "net/error.hpp"
 #include "proto/reusable_io.hpp"
 
+namespace maxel::svc {
+
+std::string BrokerStats::to_json() const {
+  char buf[1024];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"role\":\"broker\",\"admission_rejects\":%llu,"
+      "\"spool\":{\"ready\":%zu,\"spooled\":%llu,\"claimed\":%llu,"
+      "\"cache_hits\":%llu,\"cache_misses\":%llu,\"purged_on_open\":%llu,"
+      "\"bytes_on_disk\":%llu,\"ready_v3\":%zu,\"v3_spooled\":%llu,"
+      "\"v3_claimed\":%llu,\"v3_lineage_discarded\":%llu,"
+      "\"reusable_ready\":%zu,\"reusable_spooled\":%llu,"
+      "\"reusable_evaluations\":%llu,\"reusable_corrupt_discarded\":%llu},"
+      "\"server\":",
+      static_cast<unsigned long long>(admission_rejects),
+      spool.sessions_ready,
+      static_cast<unsigned long long>(spool.sessions_spooled),
+      static_cast<unsigned long long>(spool.sessions_claimed),
+      static_cast<unsigned long long>(spool.cache_hits),
+      static_cast<unsigned long long>(spool.cache_misses),
+      static_cast<unsigned long long>(spool.purged_on_open),
+      static_cast<unsigned long long>(spool.bytes_on_disk),
+      spool.sessions_ready_v3,
+      static_cast<unsigned long long>(spool.v3_spooled),
+      static_cast<unsigned long long>(spool.v3_claimed),
+      static_cast<unsigned long long>(spool.v3_lineage_discarded),
+      spool.reusable_ready,
+      static_cast<unsigned long long>(spool.reusable_spooled),
+      static_cast<unsigned long long>(spool.reusable_evaluations),
+      static_cast<unsigned long long>(spool.reusable_corrupt_discarded));
+  return std::string(buf) + server.to_json() + "}";
+}
+
+}  // namespace maxel::svc
+
 namespace maxel::evloop {
 
 namespace {
@@ -40,6 +75,71 @@ int accept_nonblock(int lfd) {
   }
   return fd;
 #endif
+}
+
+// Folds one finished session into `metrics`: histograms, counters and
+// per-mode wire bytes for a served session, the failure taxonomy
+// otherwise (an idle eviction counts like a blocking timeout). Returns
+// the session's stats block with its failure counters applied, ready to
+// merge into the shard's totals.
+net::ServerStats record_session(svc::MetricsRegistry& metrics,
+                                const EvSession& s, bool evicted_idle) {
+  net::ServerStats local = s.stats();
+  if (s.done()) {
+    metrics.histogram("handshake_seconds").observe(local.handshake_seconds);
+    metrics.histogram("transfer_seconds").observe(local.transfer_seconds);
+    metrics.histogram("ot_seconds").observe(local.ot_seconds);
+    metrics.histogram("session_seconds").observe(s.session_seconds());
+    metrics.counter("sessions_served").inc();
+    metrics.counter("rounds_served").inc(local.rounds_served);
+    if (local.stream_sessions_served != 0) {
+      metrics.counter("stream_sessions_served").inc();
+      metrics.histogram("first_table_seconds")
+          .observe(local.first_table_seconds);
+    }
+    if (local.v3_sessions_served != 0)
+      metrics.counter("v3_sessions_served").inc();
+    if (local.reusable_sessions_served != 0)
+      metrics.counter("reusable_sessions_served").inc();
+    // Service-wide high-water mark of garbled tables resident for any
+    // one session (whole session precomputed, one chunk streamed).
+    auto& peak = metrics.gauge("peak_resident_tables");
+    if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
+      peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
+    // Per-direction wire accounting, split by session mode so a fleet
+    // can read the v2->v3 bandwidth win straight off `maxelctl stats`.
+    const std::string mode = s.mode_name();
+    metrics.counter("net_tx_bytes_" + mode).inc(local.bytes_sent);
+    metrics.counter("net_rx_bytes_" + mode).inc(local.bytes_received);
+    return local;
+  }
+  switch (evicted_idle ? EvError::kTimeout : s.error()) {
+    case EvError::kHandshake:
+      ++local.handshakes_rejected;
+      metrics.counter("handshakes_rejected").inc();
+      break;
+    case EvError::kTimeout:
+      // The client went silent or stopped draining; its session is
+      // abandoned so it cannot pin a connection slot.
+      ++local.idle_timeouts;
+      ++local.connection_errors;
+      metrics.counter("idle_timeouts").inc();
+      metrics.counter("connection_errors").inc();
+      break;
+    case EvError::kPeerClosed:
+      // Mid-session hangup — the signature a crashing or retrying
+      // client leaves behind; tracked separately so fleets can tell
+      // churn from protocol errors.
+      ++local.connection_errors;
+      metrics.counter("peer_disconnects").inc();
+      metrics.counter("connection_errors").inc();
+      break;
+    default:
+      ++local.connection_errors;
+      metrics.counter("connection_errors").inc();
+      break;
+  }
+  return local;
 }
 
 }  // namespace
@@ -86,7 +186,40 @@ struct EvBroker::Shard {
   bool listener_on = false;
 };
 
-// --- construction ----------------------------------------------------------
+// --- spool plumbing -------------------------------------------------------
+
+template <typename Take>
+auto EvBroker::take_blocking(Lane lane, Take take) {
+  // Registered once per take, released however the take ends.
+  struct Waiter {
+    std::atomic<std::size_t>* count = nullptr;
+    ~Waiter() {
+      if (count != nullptr) count->fetch_sub(1, std::memory_order_relaxed);
+    }
+  } waiter;
+  for (;;) {
+    if (auto s = take()) {
+      metrics_.gauge(lane == kLaneV2 ? "spool_ready" : "spool_ready_v3")
+          .set(static_cast<std::int64_t>(lane_ready(lane)));
+      spool_cv_.notify_all();  // the producer may want to refill now
+      return std::move(*s);
+    }
+    if (producer_stop_.load(std::memory_order_relaxed))
+      throw net::NetError("broker stopping: spool drained");
+    if (waiter.count == nullptr) {
+      // An empty lane is demand: the producer garbles for this take even
+      // when the lane's low watermark is 0.
+      waiter.count = &lane_waiters_[lane];
+      waiter.count->fetch_add(1, std::memory_order_relaxed);
+      spool_cv_.notify_all();
+    }
+    metrics_.counter("spool_empty_waits").inc();
+    std::unique_lock<std::mutex> lock(spool_mu_);
+    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
+  }
+}
+
+// --- construction ---------------------------------------------------------
 
 EvBroker::EvBroker(const EvBrokerConfig& cfg)
     : cfg_(cfg),
@@ -126,8 +259,13 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
   serve_ctx_.demo_seed = cfg_.demo_seed;
   serve_ctx_.scheme = cfg_.scheme;
   serve_ctx_.stream_chunk_rounds = cfg_.stream_chunk_rounds;
-  serve_ctx_.take_session = [this] { return take_session_blocking(); };
-  serve_ctx_.take_v3 = [this] { return take_v3_blocking(); };
+  serve_ctx_.take_session = [this] {
+    return take_blocking(kLaneV2, [this] { return spool_.take(); });
+  };
+  serve_ctx_.take_v3 = [this] {
+    return take_blocking(kLaneV3,
+                         [this] { return spool_.take_v3(v3_reg_.lineage()); });
+  };
 
   // The busy verdict, framed once: the EMFILE path sends it raw with a
   // single syscall, no channel object needed on a dying fd.
@@ -191,8 +329,17 @@ void EvBroker::ensure_reusable() {
             static_cast<std::uint32_t>(cfg_.rounds_per_session),
             cfg_.demo_seed);
         metrics_.counter("reusable_artifact_loaded").inc();
+        if (cfg_.verbose)
+          std::fprintf(stderr,
+                       "[broker] reusable artifact %s reloaded from spool "
+                       "(%llu evaluations served so far)\n",
+                       reusable_key_.c_str(),
+                       static_cast<unsigned long long>(
+                           spool_.stats().reusable_evaluations));
         return;
       }
+      // Same key, different contents (the key pins the fingerprint, so
+      // this means corruption): re-garble below.
     } catch (const std::exception&) {
       // Checksum passed but the blob no longer parses; re-garble below.
     }
@@ -206,77 +353,61 @@ void EvBroker::ensure_reusable() {
       static_cast<std::uint32_t>(cfg_.rounds_per_session), cfg_.demo_seed);
   ++reusable_garbles_;
   metrics_.counter("reusable_garbles").inc();
+  if (cfg_.verbose)
+    std::fprintf(stderr, "[broker] garbled reusable artifact %s into spool\n",
+                 reusable_key_.c_str());
 }
 
-// --- spool plumbing (same discipline as svc::Broker) ------------------------
+// --- spool producer -------------------------------------------------------
 
-proto::PrecomputedSession EvBroker::take_session_blocking() {
-  for (;;) {
-    if (auto s = spool_.take()) {
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-      spool_cv_.notify_all();
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
+std::size_t EvBroker::lane_ready(Lane lane) const {
+  return lane == kLaneV2 ? spool_.ready() : spool_.ready_v3();
 }
 
-proto::PrecomputedSessionV3 EvBroker::take_v3_blocking() {
-  for (;;) {
-    if (auto s = spool_.take_v3(v3_reg_.lineage())) {
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-      spool_cv_.notify_all();
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
+std::size_t EvBroker::refill_batch(Lane lane) const {
+  if (lane == kLaneV3 && !cfg_.allow_v3) return 0;
+  const std::size_t ready = lane_ready(lane);
+  const std::size_t stock =
+      ready < cfg_.spool_low_watermark ? cfg_.spool_high_watermark : 0;
+  const std::size_t want =
+      std::max(stock, lane_waiters_[lane].load(std::memory_order_relaxed));
+  return want > ready ? want - ready : 0;
 }
 
 void EvBroker::producer_loop() {
   while (!producer_stop_.load(std::memory_order_relaxed)) {
-    const std::size_t ready = spool_.ready();
-    const std::size_t ready_v3 =
-        cfg_.allow_v3 ? spool_.ready_v3() : cfg_.spool_high_watermark;
-    if (ready >= cfg_.spool_low_watermark &&
-        ready_v3 >= cfg_.spool_low_watermark) {
+    const std::size_t v2_batch = refill_batch(kLaneV2);
+    const std::size_t v3_batch = refill_batch(kLaneV3);
+    if (v2_batch == 0 && v3_batch == 0) {
       std::unique_lock<std::mutex> lock(spool_mu_);
       spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
       continue;
     }
-    if (ready < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready;
-      std::vector<proto::PrecomputedSession> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
+    if (v2_batch != 0) {
+      std::vector<proto::PrecomputedSession> fresh(v2_batch);
+      pool_.parallel_for(v2_batch, [&](std::size_t item, std::size_t core) {
         fresh[item] = proto::garble_session(circ_, cfg_.scheme,
                                             cfg_.rounds_per_session,
                                             pool_.core_rng(core));
       });
       for (auto& s : fresh) spool_.put(std::move(s));
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      precomputed_.fetch_add(v2_batch, std::memory_order_relaxed);
       metrics_.gauge("spool_ready").set(
           static_cast<std::int64_t>(spool_.ready()));
     }
-    if (ready_v3 < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready_v3;
-      std::vector<proto::PrecomputedSessionV3> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
+    if (v3_batch != 0) {
+      // v3 sessions are bound to the registry's garbling delta; the
+      // lineage recorded by put_v3 lets a future broker on this spool
+      // dir burn them instead of serving under the wrong correlation.
+      std::vector<proto::PrecomputedSessionV3> fresh(v3_batch);
+      pool_.parallel_for(v3_batch, [&](std::size_t item, std::size_t core) {
         auto& rng = pool_.core_rng(core);
         fresh[item] = proto::garble_session_v3(circ_, v3_an_, v3_g_bits_,
                                                v3_reg_.delta(),
                                                rng.next_block(), rng);
       });
       for (auto& s : fresh) spool_.put_v3(s);
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
+      precomputed_.fetch_add(v3_batch, std::memory_order_relaxed);
       metrics_.gauge("spool_ready_v3").set(
           static_cast<std::int64_t>(spool_.ready_v3()));
     }
@@ -284,7 +415,7 @@ void EvBroker::producer_loop() {
   }
 }
 
-// --- shard event handling ---------------------------------------------------
+// --- shard event handling -------------------------------------------------
 
 std::uint64_t EvBroker::idle_deadline_ms() const {
   if (cfg_.idle_timeout_ms > 0)
@@ -487,7 +618,7 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
 void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
   EvSession& s = c.session;
   const net::ServerStats local =
-      svc::record_session(metrics_, s, evicted_idle);
+      record_session(metrics_, s, evicted_idle);
   if (s.done()) {
     if (local.reusable_sessions_served != 0)
       spool_.add_reusable_evaluations(reusable_key_,
@@ -496,23 +627,23 @@ void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
         sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cfg_.verbose)
       std::fprintf(stderr,
-                   "[evbroker] shard %zu served session %llu (%s)\n",
+                   "[broker] shard %zu served session %llu (%s)\n",
                    sh.index, static_cast<unsigned long long>(total),
                    s.mode_name());
     if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
   } else if (cfg_.verbose) {
     if (evicted_idle)
-      std::fprintf(stderr, "[evbroker] shard %zu evicted idle peer\n",
+      std::fprintf(stderr, "[broker] shard %zu evicted idle peer\n",
                    sh.index);
     else
-      std::fprintf(stderr, "[evbroker] shard %zu session error: %s\n",
+      std::fprintf(stderr, "[broker] shard %zu session error: %s\n",
                    sh.index, s.error_text().c_str());
   }
   const std::lock_guard<std::mutex> lock(stats_mu_);
   shard_stats_[sh.index].merge(local);
 }
 
-// --- lifecycle --------------------------------------------------------------
+// --- lifecycle ------------------------------------------------------------
 
 void EvBroker::begin_drain(Shard& sh) {
   if (sh.draining) return;
@@ -521,6 +652,9 @@ void EvBroker::begin_drain(Shard& sh) {
     sh.loop.remove_fd(sh.listener->fd());
     sh.listener_on = false;
   }
+  // Closed, not just unregistered: a late connect is refused at once
+  // instead of completing a handshake no shard will ever serve.
+  sh.listener->close();
   if (sh.conns.empty()) sh.loop.stop();
 }
 

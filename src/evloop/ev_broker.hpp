@@ -1,15 +1,19 @@
-// Sharded event-loop front: N single-threaded shards, each running an
-// EvLoop with its own SO_REUSEPORT listener, serving every session mode
-// through the session core's event-loop driver (non-blocking EvSession
-// machines) instead of a thread-per-connection worker pool. 10k
-// concurrent sessions cost 10k fds and state machines, not 10k stacks.
+// The session broker behind `maxelctl serve --spool`: N single-threaded
+// shards, each running an EvLoop with its own SO_REUSEPORT listener,
+// serving every session mode through the session core's event-loop
+// driver (non-blocking EvSession machines). 10k concurrent sessions
+// cost 10k fds and state machines, not 10k stacks; one shard is the
+// whole front on a small host.
 //
-// Shared state across shards (same objects the blocking svc::Broker
-// uses): one SessionSpool, one V3PoolRegistry (one garbling delta), one
-// read-only reusable artifact, one MetricsRegistry, one producer thread
-// keeping the spool between its watermarks. Per-client pool phases are
-// serialized by Entry::ev_gate (see evloop/session.hpp), so two shards
-// serving the same client never interleave wire phases.
+// Shared state across shards: one SessionSpool, one V3PoolRegistry (one
+// garbling delta), one read-only reusable artifact, one MetricsRegistry,
+// one producer thread keeping the spool between its watermarks — the
+// software stand-in for MAXelerator streaming fresh sessions up over
+// PCIe. A shard that finds a spool lane empty waits for the producer,
+// and that wait is itself demand: the producer garbles for it even when
+// the lane's low watermark is 0. Per-client pool phases are serialized
+// by Entry::ev_gate (see evloop/session.hpp), so two shards serving the
+// same client never interleave wire phases.
 //
 // Accept discipline (per shard): the listener is registered
 // edge-triggered and every readiness event drains accept4() until
@@ -22,7 +26,13 @@
 // connection, lazily re-armed against last-activity — 10k idle sessions
 // cost a wheel scan per tick, not 10k poll timeouts. An eviction counts
 // idle_timeouts + connection_errors, exactly like a blocking session's
-// timeout (svc::record_session does the accounting for both brokers).
+// timeout.
+//
+// Stop discipline: request_stop() (any thread, but not a signal handler:
+// it posts a task to each shard) -> each shard closes its listener, so a
+// late connect is refused at once instead of waiting out its recv
+// timeout; in-flight sessions run to completion (bounded by idle
+// eviction); run() joins the shards, then the producer.
 #pragma once
 
 #include <atomic>
@@ -43,12 +53,25 @@
 #include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
-#include "svc/broker.hpp"
 #include "svc/metrics.hpp"
 #include "svc/session_spool.hpp"
 
 #include "evloop/event_loop.hpp"
 #include "evloop/session.hpp"
+
+namespace maxel::svc {
+
+// A broker stats snapshot: the `STATS` line and --json file of
+// `maxelctl serve --spool`.
+struct BrokerStats {
+  net::ServerStats server;  // merged over shards (+ run() wall time)
+  SpoolStats spool;
+  std::uint64_t admission_rejects = 0;  // kServerBusy sent (fd limit)
+
+  [[nodiscard]] std::string to_json() const;
+};
+
+}  // namespace maxel::svc
 
 namespace maxel::evloop {
 
@@ -89,7 +112,7 @@ struct EvBrokerConfig {
   std::size_t precompute_cores = 0;  // 0 = hardware concurrency
 
   std::uint64_t max_sessions = 0;  // stop after this many; 0 = forever
-  bool verbose = false;
+  bool verbose = false;  // per-session log lines on stderr
   std::size_t stream_chunk_rounds = 16;
   bool allow_stream = true;
   bool allow_v3 = true;
@@ -110,9 +133,9 @@ class EvBroker {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   // Spawns the shard threads + producer; returns after a graceful drain
-  // (request_stop() or max_sessions): listeners stop accepting,
-  // in-flight sessions run to completion (bounded by idle eviction),
-  // then the loops exit. Safe to run on its own thread.
+  // (request_stop() or max_sessions): listeners close, in-flight
+  // sessions run to completion (bounded by idle eviction), then the
+  // loops exit. Safe to run on its own thread.
   void run();
   void request_stop();
 
@@ -150,9 +173,22 @@ class EvBroker {
   // EMFILE path; false when even the freed spare couldn't admit one.
   bool busy_reject(Shard& sh);
   void begin_drain(Shard& sh);
+  // The spool's single-use session lanes, as the producer stocks them.
+  enum Lane : std::size_t { kLaneV2, kLaneV3, kLanes };
+  [[nodiscard]] std::size_t lane_ready(Lane lane) const;
+  // Sessions to garble into `lane` now (0 = none): a refill to the high
+  // watermark below the low one, and always enough for the takers
+  // waiting on the lane.
+  [[nodiscard]] std::size_t refill_batch(Lane lane) const;
   void producer_loop();
-  proto::PrecomputedSession take_session_blocking();
-  proto::PrecomputedSessionV3 take_v3_blocking();
+  // Pops a session from `lane` via `take` (a spool take returning an
+  // optional), waiting on the producer while the lane is empty.
+  template <typename Take>
+  auto take_blocking(Lane lane, Take take);
+  // Loads the reusable artifact for this (fingerprint, bits) key from
+  // the spool — or garbles it once and persists it — and builds the
+  // serve context. Corrupt or unparseable blobs are destroyed and
+  // replaced by a fresh garbling, never served.
   void ensure_reusable();
   [[nodiscard]] std::uint64_t idle_deadline_ms() const;
 
@@ -179,6 +215,7 @@ class EvBroker {
   std::atomic<std::uint64_t> sessions_served_total_{0};
   std::atomic<std::uint64_t> precomputed_{0};
   std::atomic<std::int64_t> open_conns_{0};
+  std::atomic<std::size_t> lane_waiters_[kLanes]{};
 
   std::mutex spool_mu_;
   std::condition_variable spool_cv_;

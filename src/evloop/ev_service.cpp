@@ -1,86 +1,27 @@
 #include "evloop/ev_service.hpp"
 
-#include <csignal>
+#include <signal.h>
+
+#include <ctime>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "evloop/ev_broker.hpp"
+#include "net/cli.hpp"
 
 namespace maxel::evloop {
 
-namespace {
-
-EvBroker* g_signal_broker = nullptr;
-
-void handle_signal(int) {
-  if (g_signal_broker != nullptr) g_signal_broker->request_stop();
-}
-
-bool parse_scheme(const std::string& name, gc::Scheme& out) {
-  if (name == "halfgates") out = gc::Scheme::kHalfGates;
-  else if (name == "grr3") out = gc::Scheme::kGrr3;
-  else if (name == "classic4") out = gc::Scheme::kClassic4;
-  else return false;
-  return true;
-}
-
-// Mirrors the unified --mode selector: precomputed is always served;
-// the flag gates the optional families.
-struct ModeChoice {
-  bool stream = false;
-  bool v3 = false;
-  bool reusable = false;
-};
-
-bool parse_mode(const char* v, ModeChoice& out) {
-  if (v == nullptr) return false;
-  const std::string name = v;
-  if (name == "precomputed") out = {false, false, false};
-  else if (name == "stream") out = {true, false, false};
-  else if (name == "v3") out = {false, true, false};
-  else if (name == "reusable") out = {false, true, true};
-  else return false;
-  return true;
-}
-
-struct FlagParser {
-  int argc;
-  char** argv;
-  int i = 0;
-  bool ok = true;
-
-  bool next_flag(std::string& flag) {
-    if (i >= argc) return false;
-    flag = argv[i++];
-    return true;
-  }
-  const char* value() {
-    if (i >= argc) {
-      ok = false;
-      return nullptr;
-    }
-    return argv[i++];
-  }
-  std::uint64_t value_u64() {
-    const char* v = value();
-    return v ? std::strtoull(v, nullptr, 10) : 0;
-  }
-};
-
-}  // namespace
-
-int evloop_command(int argc, char** argv) {
+int broker_command(int argc, char** argv) {
   EvBrokerConfig cfg;
+  cfg.verbose = true;  // like the other serve commands; --quiet mutes it
   std::string json_path, metrics_path;
-  FlagParser p{argc, argv};
+  net::FlagParser p{argc, argv};
   std::string flag;
   while (p.next_flag(flag)) {
-    if (flag == "--evloop") continue;  // the routing flag itself
-    else if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
+    if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
     else if (flag == "--bind") { const char* v = p.value(); if (v) cfg.bind_addr = v; }
     else if (flag == "--bits") cfg.bits = p.value_u64();
     else if (flag == "--rounds") cfg.rounds_per_session = p.value_u64();
@@ -98,8 +39,8 @@ int evloop_command(int argc, char** argv) {
     else if (flag == "--quiet") cfg.verbose = false;
     else if (flag == "--chunk-rounds") cfg.stream_chunk_rounds = p.value_u64();
     else if (flag == "--mode") {
-      ModeChoice mc;
-      if (!parse_mode(p.value(), mc)) {
+      net::ModeChoice mc;
+      if (!net::parse_mode(p.value(), mc)) {
         std::fprintf(stderr, "bad --mode (precomputed|stream|v3|reusable)\n");
         return 2;
       }
@@ -110,12 +51,12 @@ int evloop_command(int argc, char** argv) {
     else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
     else if (flag == "--scheme") {
       const char* v = p.value();
-      if (!v || !parse_scheme(v, cfg.scheme)) {
+      if (!v || !net::parse_scheme(v, cfg.scheme)) {
         std::fprintf(stderr, "bad --scheme (halfgates|grr3|classic4)\n");
         return 2;
       }
     } else {
-      std::fprintf(stderr, "maxelctl serve (evloop): unknown flag %s\n",
+      std::fprintf(stderr, "maxelctl serve (broker): unknown flag %s\n",
                    flag.c_str());
       return 2;
     }
@@ -124,25 +65,36 @@ int evloop_command(int argc, char** argv) {
       cfg.shards == 0 || cfg.spool_dir.empty() ||
       cfg.stream_chunk_rounds == 0) {
     std::fprintf(stderr,
-                 "maxelctl serve (evloop): bad flags (--spool DIR required, "
+                 "maxelctl serve (broker): bad flags (--spool DIR required, "
                  "--shards >= 1)\n");
     return 2;
   }
 
+  // SIGINT/SIGTERM stay blocked in every broker thread and are taken by
+  // one waiter thread, so request_stop() (which posts to the shard
+  // loops) never runs inside a signal handler. The waiter polls so its
+  // jthread destructor can end it.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   try {
     EvBroker broker(cfg);
-    g_signal_broker = &broker;
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    std::printf("maxel evloop broker listening on %s:%u (b=%zu, %zu "
-                "rounds/session, %zu shards, backlog %d, spool %s [%zu..%zu])\n",
+    std::jthread waiter([&](std::stop_token stop) {
+      const timespec poll{0, 100'000'000};  // 100 ms
+      while (!stop.stop_requested())
+        if (sigtimedwait(&stop_signals, nullptr, &poll) > 0)
+          broker.request_stop();
+    });
+    std::printf("maxel broker listening on %s:%u (b=%zu, %zu rounds/session, "
+                "%zu shards, backlog %d, spool %s [%zu..%zu])\n",
                 cfg.bind_addr.c_str(), broker.port(), cfg.bits,
                 cfg.rounds_per_session, cfg.shards, cfg.listen_backlog,
                 cfg.spool_dir.c_str(), cfg.spool_low_watermark,
                 cfg.spool_high_watermark);
     std::fflush(stdout);
     broker.run();
-    g_signal_broker = nullptr;
 
     const svc::BrokerStats st = broker.stats();
     std::printf("served %llu sessions (%llu rounds) over %zu shards: "
@@ -153,21 +105,14 @@ int evloop_command(int argc, char** argv) {
                 static_cast<unsigned long long>(st.server.bytes_sent),
                 static_cast<unsigned long long>(st.admission_rejects),
                 st.server.total_seconds);
-    const std::string json = st.to_json();
-    std::printf("STATS %s\n", json.c_str());
-    std::fflush(stdout);
-    if (!json_path.empty()) {
-      std::ofstream os(json_path);
-      os << json << "\n";
-    }
+    net::dump_stats(st.to_json(), json_path);
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
       os << broker.metrics().to_json() << "\n";
     }
     return 0;
   } catch (const std::exception& e) {
-    g_signal_broker = nullptr;
-    std::fprintf(stderr, "maxelctl serve (evloop): %s\n", e.what());
+    std::fprintf(stderr, "maxelctl serve (broker): %s\n", e.what());
     return 1;
   }
 }

@@ -393,7 +393,7 @@ void EvSession::start_stream_chunk() {
 
 void EvSession::pool_gate_step() {
   // One session per client entry at a time across every shard and
-  // worker. Losing the exchange parks this session: the event loop
+  // front. Losing the exchange parks this session: the event loop
   // retries off a timer (the holder may be a sibling on the same loop
   // thread), the blocking driver waits on the atomic.
   if (entry_->ev_gate.exchange(true, std::memory_order_acq_rel)) {

@@ -1,7 +1,7 @@
 // The server-side session core: one EvSession per accepted connection
 // runs the handshake and whichever of the four session modes the hello
 // asks for (precomputed, stream, v3, reusable). It is the only server
-// implementation of those modes; every front serves through it.
+// implementation of those modes; both fronts serve through it.
 //
 // The machine is a set of parked states, each with a known byte need,
 // whose protocol steps run on a proto::Channel. Two drivers step it:
@@ -10,15 +10,15 @@
 //     session's own BufferedChannel, the machine advances only while
 //     available() covers the next step's need, and the owning
 //     connection drains the staged output with writev;
-//   * serve_blocking() (net::Server, svc::Broker): the machine steps
+//   * serve_blocking() (net::Server): the machine steps
 //     directly on the accepted TcpChannel or FaultyChannel, every recv
 //     blocking on the socket.
 //
 // Both drivers put identical bytes on the wire, in the same order.
 //
 // Pool-gate discipline (v3/reusable): one client's setup/extend/claim
-// wire phases are serialized across sessions — and across fronts,
-// shards and worker threads — by Entry::ev_gate, an atomic
+// wire phases are serialized across sessions — and across fronts and
+// shards — by Entry::ev_gate, an atomic
 // test-and-set. On contention an event-loop session parks and retries
 // off a timer (its shard thread must not block on a sibling session),
 // while the blocking driver waits on the atomic itself. Entry::io_mu is
@@ -53,8 +53,9 @@
 namespace maxel::evloop {
 
 // Everything a front shares across its sessions. The registry and the
-// reusable context are process-wide (shared across shards and worker
-// threads); take_session / take_v3 source the pre-garbled sessions.
+// reusable context are process-wide (shared across shards and the
+// blocking server); take_session / take_v3 source the pre-garbled
+// sessions.
 struct EvServeContext {
   const circuit::Circuit* circ = nullptr;
   net::ServerExpectation expect;

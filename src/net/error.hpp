@@ -56,10 +56,11 @@ class CorruptionError : public NetError {
 };
 
 // Session-protocol rejection codes (see handshake.hpp for the fields).
-// kServerBusy / kShuttingDown are load-state rejects sent by the broker
-// before it reads the hello: the admission queue is full, or the broker
-// is draining. Both are retryable from the client's point of view,
-// unlike the configuration mismatches above them.
+// kServerBusy / kShuttingDown are load-state rejects sent before the
+// hello is read: the broker is out of fds, or a server is draining (no
+// server sends kShuttingDown today — a draining broker closes its
+// listeners — but clients still honor it). Both are retryable from the
+// client's point of view, unlike the configuration mismatches above.
 enum class RejectCode : std::uint32_t {
   kOk = 0,
   kBadMagic = 1,

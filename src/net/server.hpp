@@ -9,9 +9,8 @@
 // on a core::GcCorePool (the software stand-in for the accelerator
 // streaming tables up over PCIe while the host serves traffic); v3
 // sessions are garbled inline under the pool registry's delta, stream
-// sessions chunk by chunk inside the session. svc::Broker (worker
-// pool) and evloop::EvBroker (event loops) are the concurrent fronts
-// over the same core.
+// sessions chunk by chunk inside the session. evloop::EvBroker (event
+// loops over a disk spool) is the concurrent front over the same core.
 #pragma once
 
 #include <atomic>

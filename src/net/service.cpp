@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "net/cli.hpp"
 #include "net/client.hpp"
 #include "net/fault.hpp"
 #include "net/server.hpp"
@@ -35,23 +35,6 @@ void handle_sigint(int) {
   if (g_signal_server != nullptr) g_signal_server->request_stop();
 }
 
-bool parse_scheme(const std::string& name, gc::Scheme& out) {
-  if (name == "halfgates") out = gc::Scheme::kHalfGates;
-  else if (name == "grr3") out = gc::Scheme::kGrr3;
-  else if (name == "classic4") out = gc::Scheme::kClassic4;
-  else return false;
-  return true;
-}
-
-void dump_stats(const std::string& json, const std::string& path) {
-  std::printf("STATS %s\n", json.c_str());
-  std::fflush(stdout);
-  if (!path.empty()) {
-    std::ofstream os(path);
-    os << json << "\n";
-  }
-}
-
 // The four session modes of the unified --mode flag, with the
 // tradeoffs operators pick between. Shared by serve/connect --help.
 constexpr const char* kModeHelp =
@@ -71,52 +54,6 @@ constexpr const char* kModeHelp =
     "                      bytes/MAC and highest MAC/s, but WEAKER\n"
     "                      GARBLER PRIVACY (public-model/private-query\n"
     "                      only — see docs/SECURITY_MODELS.md).\n";
-
-// Unified mode selector. Server side: picks which hellos are accepted
-// (precomputed is always served; the flag gates the optional modes).
-// Client side: picks what the hello asks for.
-struct ModeChoice {
-  bool stream = false;
-  bool v3 = false;
-  bool reusable = false;
-};
-
-bool parse_mode(const char* v, ModeChoice& out) {
-  if (v == nullptr) return false;
-  const std::string name = v;
-  if (name == "precomputed") out = {false, false, false};
-  else if (name == "stream") out = {true, false, false};
-  else if (name == "v3") out = {false, true, false};
-  else if (name == "reusable") out = {false, true, true};
-  else return false;
-  return true;
-}
-
-// Shared flag scaffolding: returns false (usage error) on unknown flags
-// or missing values.
-struct FlagParser {
-  int argc;
-  char** argv;
-  int i = 0;
-  bool ok = true;
-
-  bool next_flag(std::string& flag) {
-    if (i >= argc) return false;
-    flag = argv[i++];
-    return true;
-  }
-  const char* value() {
-    if (i >= argc) {
-      ok = false;
-      return nullptr;
-    }
-    return argv[i++];
-  }
-  std::uint64_t value_u64() {
-    const char* v = value();
-    return v ? std::strtoull(v, nullptr, 10) : 0;
-  }
-};
 
 }  // namespace
 

@@ -41,7 +41,7 @@
 namespace maxel::net {
 
 // Garbler-side registry of per-client correlated-OT pools. Thread-safe:
-// worker threads and event-loop shards serve concurrent sessions of the
+// event-loop shards and server threads serve concurrent sessions of the
 // same client against one entry (wire phases serialized by the entry's
 // gate, pad reads lock-free per the pool's own contract).
 class V3PoolRegistry {

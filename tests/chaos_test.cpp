@@ -15,7 +15,7 @@
 //     session, never by resuming one (wire labels are single-use; the
 //     no-reuse test compares captured wire bytes across attempts);
 //   * matrix: >= 30 seeded scenarios across all three serving paths
-//     (precomputed net::Server, stream net::Server, svc::Broker), each
+//     (precomputed net::Server, stream net::Server, evloop::EvBroker), each
 //     of which must terminate within a watchdog in either a bit-correct
 //     verified MAC or a typed NetError — never a hang, never a silent
 //     mismatch — with the service still serving afterwards.
@@ -33,6 +33,7 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/ev_broker.hpp"
 #include "evloop/session.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
@@ -45,7 +46,6 @@
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
-#include "svc/broker.hpp"
 
 namespace maxel {
 namespace {
@@ -900,8 +900,8 @@ class BrokerChaosTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(spool_dir_); }
 
-  svc::BrokerConfig chaos_broker_config() {
-    svc::BrokerConfig cfg;
+  evloop::EvBrokerConfig chaos_broker_config() {
+    evloop::EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = kBits;
@@ -909,9 +909,7 @@ class BrokerChaosTest : public ::testing::Test {
     cfg.spool_dir = spool_dir_.string();
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 3;
-    cfg.workers = 2;
-    cfg.admission_queue = 4;
-    cfg.accept_poll_ms = 50;
+    cfg.shards = 2;
     cfg.verbose = false;
     cfg.idle_timeout_ms = 5'000;
     return cfg;
@@ -925,7 +923,7 @@ TEST_F(BrokerChaosTest, BrokerSurvivesEveryPlan) {
   int recovered = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=broker");
-    svc::Broker broker(chaos_broker_config());
+    evloop::EvBroker broker(chaos_broker_config());
     std::thread run([&] { broker.run(); });
 
     const ChaosOutcome out =
@@ -944,26 +942,31 @@ TEST_F(BrokerChaosTest, BrokerSurvivesEveryPlan) {
   EXPECT_GE(recovered, 5);
 }
 
-// Broker-side injection: the fault fires inside a worker, the error is
-// accounted in the metrics registry, and the worker pool keeps serving.
+// A client that hangs up mid-session: the broker accounts the dropped
+// session as a peer disconnect, the client's retry verifies on a fresh
+// session, and the broker keeps serving.
 TEST_F(BrokerChaosTest, BrokerSideFaultIsMeteredAndSurvived) {
-  svc::BrokerConfig cfg = chaos_broker_config();
-  cfg.fault_plan = "close@send:5";
-  svc::Broker broker(cfg);
+  evloop::EvBroker broker(chaos_broker_config());
   std::thread run([&] { broker.run(); });
 
+  // Recv op 6 is session material: the first attempt dies with garbled
+  // tables in flight, so the broker sees the hangup mid-session.
   const ChaosOutcome out =
+      run_chaos_client(chaos_client_config(broker.port(), "close@recv:6"));
+  const ChaosOutcome clean =
       run_chaos_client(chaos_client_config(broker.port(), ""));
   broker.request_stop();
   run.join();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
-  EXPECT_EQ(broker.metrics().gauge("faults_injected").value(), 1);
-  EXPECT_GE(broker.metrics().counter("peer_disconnects").value() +
-                broker.metrics().counter("connection_errors").value(),
-            1u);
-  EXPECT_EQ(broker.stats().server.sessions_served, 1u);
+  EXPECT_TRUE(clean.verified) << clean.error;
+  EXPECT_EQ(clean.attempts, 1u);
+  EXPECT_EQ(broker.metrics().counter("peer_disconnects").value(), 1);
+  EXPECT_EQ(broker.metrics().counter("connection_errors").value(), 1);
+  const svc::BrokerStats st = broker.stats();
+  EXPECT_EQ(st.server.connection_errors, 1u);
+  EXPECT_EQ(st.server.sessions_served, 2u);
 }
 
 // Reusable sessions through the chaos matrix against the broker: a kill
@@ -976,7 +979,7 @@ TEST_F(BrokerChaosTest, ReusableBrokerSurvivesEveryPlanOffOneGarbling) {
   int recovered = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=broker-reusable");
-    svc::Broker broker(chaos_broker_config());
+    evloop::EvBroker broker(chaos_broker_config());
     std::thread run([&] { broker.run(); });
 
     net::ClientConfig ccfg = chaos_client_config(broker.port(), plan);

@@ -8,9 +8,11 @@
 //   * pool gate: a second v3 session through the shuttle resumes the
 //     first one's OT pool and leaves zero outstanding claims;
 //   * EvBroker: all four modes over loopback TCP against the sharded
-//     front, with the blocking broker's stats/metrics semantics;
+//     front, with the blocking server's stats/metrics semantics;
 //   * idle eviction: a silent peer is evicted by the timer wheel and
-//     counted exactly like the blocking broker's TimeoutError path;
+//     counted exactly like a blocking session's TimeoutError path;
+//   * lifecycle: a zero-watermark spool serves on demand and still
+//     drains promptly; a connect after drain is refused at once;
 //   * SpareFd: the EMFILE reserve releases and reacquires;
 //   * loadgen smoke: 2000 canned reusable sessions through a windowed
 //     single-threaded client sweep, zero failures, zero stuck claims.
@@ -20,8 +22,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -50,6 +54,10 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 // ---------------------------------------------------------------------------
 // Shuttle: a minimal single-connection server that owns an EvSession and
@@ -347,7 +355,7 @@ class EvBrokerTest : public ::testing::Test {
 };
 
 // All four modes through the sharded front, every MAC bit-identical to
-// the plaintext reference, stats/metrics matching the blocking broker's
+// the plaintext reference, stats/metrics matching the blocking server's
 // semantics, and no OT-pool claim left outstanding.
 TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   const std::size_t bits = 8, rounds = 6;
@@ -410,8 +418,8 @@ TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   EXPECT_NE(m.to_json().find("ev_open_fds"), std::string::npos);
 }
 
-// A silent peer is evicted by the timer wheel with the blocking
-// broker's idle_timeouts + connection_errors accounting.
+// A silent peer is evicted by the timer wheel with a blocking session's
+// idle_timeouts + connection_errors accounting.
 TEST_F(EvBrokerTest, IdlePeerEvictedByTimerWheel) {
   EvBrokerConfig cfg = quiet_config(8, 4);
   cfg.shards = 1;
@@ -449,6 +457,78 @@ TEST_F(EvBrokerTest, ShutdownLatencyBounded) {
   broker.request_stop();
   run.join();
   EXPECT_LT(std::chrono::duration<double>(Clock::now() - t0).count(), 2.0);
+}
+
+// A session that finds its spool lane empty is demand: with both
+// watermarks at 0 the producer still garbles for it, so the waiting
+// shard is not frozen, and request_stop() ends run() promptly.
+TEST_F(EvBrokerTest, ZeroWatermarkSpoolServesOnDemandAndStops) {
+  const std::size_t bits = 8, rounds = 4;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 1;
+  cfg.spool_low_watermark = 0;
+  cfg.spool_high_watermark = 0;
+  EvBroker broker(cfg);
+  std::atomic<bool> returned{false};
+  std::thread run([&] {
+    broker.run();
+    returned = true;
+  });
+
+  net::ClientConfig pre = quiet_client(broker.port(), bits);
+  pre.tcp.recv_timeout_ms = 3'000;
+  net::ClientConfig v3 = pre;
+  crypto::SystemRandom id_rng;
+  v3.protocol = net::kProtocolVersionV3;
+  v3.v3_state = net::make_v3_client_state(id_rng);
+  const std::uint64_t want = net::demo_mac_reference(cfg.demo_seed, bits,
+                                                     rounds);
+  for (const net::ClientConfig* ccfg : {&pre, &v3}) {
+    try {
+      const net::ClientStats cs = net::run_client(*ccfg);
+      EXPECT_TRUE(cs.verified);
+      EXPECT_EQ(cs.output_value, want);
+    } catch (const net::NetError& e) {
+      ADD_FAILURE() << "protocol " << ccfg->protocol << ": " << e.what();
+    }
+  }
+
+  const auto t0 = Clock::now();
+  broker.request_stop();
+  while (!returned && seconds_since(t0) < 5.0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const double drain_seconds = seconds_since(t0);
+  if (!returned) {
+    // Joining a wedged broker would hang the whole suite.
+    ADD_FAILURE() << "run() still running 5 s after request_stop()";
+    std::abort();
+  }
+  run.join();
+  EXPECT_LT(drain_seconds, 2.0);
+
+  const svc::BrokerStats st = broker.stats();
+  EXPECT_EQ(st.server.sessions_served, 2u);
+  EXPECT_EQ(st.spool.sessions_claimed, 1u);
+  EXPECT_EQ(st.spool.v3_claimed, 1u);
+  EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+}
+
+// A drained broker has closed its listeners: a late connect is refused
+// at once instead of waiting out the client's recv timeout.
+TEST_F(EvBrokerTest, ConnectAfterDrainIsRefusedAtOnce) {
+  EvBrokerConfig cfg = quiet_config(8, 4);
+  cfg.shards = 2;
+  EvBroker broker(cfg);
+  std::thread run([&] { broker.run(); });
+  broker.request_stop();
+  run.join();
+
+  net::ClientConfig late = quiet_client(broker.port(), 8);
+  late.tcp.connect_attempts = 1;
+  late.tcp.recv_timeout_ms = 3'000;
+  const auto t0 = Clock::now();
+  EXPECT_THROW((void)net::run_client(late), net::ConnectError);
+  EXPECT_LT(seconds_since(t0), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@
 # MAXEL_FAULT_PLAN schedules against the stock binaries — in both the
 # classic and reusable session modes — every run must end, under a hard
 # watchdog, in a VERIFIED MAC or a typed maxel_client error (see
-# docs/TESTING.md). Run by CTest as the `net_e2e` / `net_e2e_stream` /
-# `net_e2e_reusable` / `net_e2e_chaos` tests.
+# docs/TESTING.md); "broker" runs `maxelctl serve --spool` (CTL points
+# at maxelctl) for one precomputed and one v3 client. Run by CTest as
+# the `net_e2e` / `net_e2e_stream` / `net_e2e_reusable` /
+# `net_e2e_chaos` / `net_e2e_broker` tests.
 set -euo pipefail
 : "${SERVER:?set SERVER to the maxel_server binary}"
 : "${CLIENT:?set CLIENT to the maxel_client binary}"
@@ -27,15 +29,17 @@ case "$MODE" in
   stream) client_args+=(--mode stream) ;;
   reusable) ;;
   chaos) ;;
-  *) echo "unknown MODE '$MODE' (want precomputed|stream|reusable|chaos)"; exit 1 ;;
+  broker) : "${CTL:?set CTL to the maxelctl binary}" ;;
+  *) echo "unknown MODE '$MODE' (want precomputed|stream|reusable|chaos|broker)"; exit 1 ;;
 esac
 
 dir=$(mktemp -d)
 spid=""
 trap '[ -n "$spid" ] && kill "$spid" 2>/dev/null; rm -rf "$dir"' EXIT
 
+server_cmd=("$SERVER")
 start_server() {  # start_server <extra server args...>
-  "$SERVER" --port 0 --bits 8 "$@" --json "$dir/server.json" \
+  "${server_cmd[@]}" --port 0 --bits 8 "$@" --json "$dir/server.json" \
             >"$dir/server.log" 2>&1 &
   spid=$!
   # The server prints its bound (ephemeral) port on startup.
@@ -133,6 +137,54 @@ if [ "$MODE" = chaos ]; then
        "$recovered recovered via retry, $served sessions served" \
        "($r_served reusable off $r_garbles garbling)," \
        "$errors connection errors survived"
+  exit 0
+fi
+
+if [ "$MODE" = broker ]; then
+  # The session broker behind `maxelctl serve --spool`: one precomputed
+  # and one v3 client off its disk spool, then a clean exit once both
+  # sessions are served, with every byte counter reconciled.
+  server_cmd=("$CTL" serve --spool "$dir/spool")
+  start_server --sessions 2
+
+  "$CLIENT" --port "$port" --bits 8 --json "$dir/client1.json" \
+            >"$dir/client1.log" 2>&1 \
+    || { echo "precomputed client failed:"; cat "$dir/client1.log"; exit 1; }
+  "$CLIENT" --port "$port" --bits 8 --mode v3 --json "$dir/client2.json" \
+            >"$dir/client2.log" 2>&1 \
+    || { echo "v3 client failed:"; cat "$dir/client2.log"; exit 1; }
+  for i in 1 2; do
+    grep -q VERIFIED "$dir/client$i.log" \
+      || { echo "client $i did not verify:"; cat "$dir/client$i.log"; exit 1; }
+  done
+
+  wait "$spid" || { echo "broker exited non-zero:"; cat "$dir/server.log"; exit 1; }
+  spid=""
+  # Per-session log lines are on by default (--quiet would mute them).
+  grep -q "served session" "$dir/server.log" \
+    || { echo "broker logged no served sessions:"; cat "$dir/server.log"; exit 1; }
+
+  served=$(field "$dir/server.json" sessions_served)
+  v3_served=$(field "$dir/server.json" v3_sessions_served)
+  [ "$served" = 2 ] || { echo "broker served $served sessions (want 2)"; exit 1; }
+  [ "$v3_served" = 1 ] || { echo "broker served $v3_served v3 sessions (want 1)"; exit 1; }
+  s_out=$(field "$dir/server.json" bytes_sent)
+  s_in=$(field "$dir/server.json" bytes_received)
+  c_out=$(( $(field "$dir/client1.json" bytes_sent) + $(field "$dir/client2.json" bytes_sent) ))
+  c_in=$(( $(field "$dir/client1.json" bytes_received) + $(field "$dir/client2.json" bytes_received) ))
+  [ "$s_out" = "$c_in" ] \
+    || { echo "byte mismatch: broker sent $s_out, clients received $c_in"; exit 1; }
+  [ "$s_in" = "$c_out" ] \
+    || { echo "byte mismatch: clients sent $c_out, broker received $s_in"; exit 1; }
+
+  # The retired worker pool's flags are usage errors now.
+  rc=0
+  timeout 10 "$CTL" serve --spool "$dir/spool" --port 0 --workers 4 \
+         >"$dir/workers.log" 2>&1 || rc=$?
+  [ "$rc" = 2 ] \
+    || { echo "serve --spool --workers 4 exited $rc (want 2):"; cat "$dir/workers.log"; exit 1; }
+  echo "net_e2e[broker]: 2 sessions (precomputed + v3), $c_in B down /" \
+       "$c_out B up, counters match; --workers rejected"
   exit 0
 fi
 

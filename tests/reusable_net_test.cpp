@@ -14,6 +14,7 @@
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -22,7 +23,6 @@
 #include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
-#include "svc/broker.hpp"
 #include "svc/session_spool.hpp"
 
 namespace maxel::net {
@@ -325,19 +325,18 @@ class ReusableBrokerTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(spool_dir_); }
 
-  svc::BrokerConfig broker_config(std::size_t bits, std::size_t rounds,
-                                  std::uint64_t max_sessions) {
-    svc::BrokerConfig cfg;
+  evloop::EvBrokerConfig broker_config(std::size_t bits, std::size_t rounds,
+                                       std::uint64_t max_sessions) {
+    evloop::EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
-    cfg.workers = 2;
+    cfg.shards = 2;
     cfg.spool_dir = spool_dir_.string();
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 1;
     cfg.max_sessions = max_sessions;
-    cfg.accept_poll_ms = 50;
     cfg.verbose = false;
     cfg.tcp.recv_timeout_ms = 10'000;
     return cfg;
@@ -373,8 +372,8 @@ class ReusableBrokerTest : public ::testing::Test {
 // bit-identical to the plaintext reference, zero stuck pool claims.
 TEST_F(ReusableBrokerTest, ThousandEvaluationsOffOneGarbling) {
   const std::size_t bits = 16, rounds = 128, sessions = 8;
-  svc::BrokerConfig bcfg = broker_config(bits, rounds, sessions);
-  svc::Broker broker(bcfg);
+  evloop::EvBrokerConfig bcfg = broker_config(bits, rounds, sessions);
+  evloop::EvBroker broker(bcfg);
   std::thread run([&] { broker.run(); });
 
   crypto::SystemRandom id_rng(Block{0x1000, 1});
@@ -408,7 +407,7 @@ TEST_F(ReusableBrokerTest, ArtifactSurvivesBrokerRestart) {
   auto state = make_v3_client_state(id_rng);
 
   {
-    svc::Broker broker(broker_config(bits, rounds, 1));
+    evloop::EvBroker broker(broker_config(bits, rounds, 1));
     std::thread run([&] { broker.run(); });
     const ClientStats st =
         run_client(broker_client(broker.port(), bits, state));
@@ -419,7 +418,7 @@ TEST_F(ReusableBrokerTest, ArtifactSurvivesBrokerRestart) {
   ASSERT_TRUE(state->reusable_view.has_value());
   const auto cached_sha = state->reusable_sha;
 
-  svc::Broker broker2(broker_config(bits, rounds, 1));
+  evloop::EvBroker broker2(broker_config(bits, rounds, 1));
   std::thread run2([&] { broker2.run(); });
   const ClientStats st2 =
       run_client(broker_client(broker2.port(), bits, state));
@@ -449,7 +448,7 @@ TEST_F(ReusableBrokerTest, CorruptArtifactOnDiskForcesRegarble) {
   auto state = make_v3_client_state(id_rng);
 
   {
-    svc::Broker broker(broker_config(bits, rounds, 1));
+    evloop::EvBroker broker(broker_config(bits, rounds, 1));
     std::thread run([&] { broker.run(); });
     const ClientStats st =
         run_client(broker_client(broker.port(), bits, state));
@@ -471,7 +470,7 @@ TEST_F(ReusableBrokerTest, CorruptArtifactOnDiskForcesRegarble) {
     out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   }
 
-  svc::Broker broker2(broker_config(bits, rounds, 1));
+  evloop::EvBroker broker2(broker_config(bits, rounds, 1));
   std::thread run2([&] { broker2.run(); });
   const ClientStats st2 =
       run_client(broker_client(broker2.port(), bits, state));

@@ -1,6 +1,6 @@
-// One session core, three fronts: net::Server, svc::Broker and
-// evloop::EvBroker all serve every connection through evloop::EvSession,
-// so a client must see the same wire on each of them.
+// One session core, two fronts: net::Server and evloop::EvBroker both
+// serve every connection through evloop::EvSession, so a client must see
+// the same wire on each of them.
 //
 //   * wire identity: one client session per mode against each front —
 //     precomputed with base OT and with IKNP, stream, v3 fresh then
@@ -28,7 +28,6 @@
 #include "net/demo_inputs.hpp"
 #include "net/server.hpp"
 #include "net/v3_service.hpp"
-#include "svc/broker.hpp"
 
 namespace maxel {
 namespace {
@@ -39,14 +38,12 @@ constexpr std::size_t kBits = 8;
 constexpr std::size_t kRounds = 6;
 constexpr std::size_t kChunkRounds = 2;  // several stream chunks
 
-enum class FrontKind { kServer, kBroker, kEvBroker };
+enum class FrontKind { kServer, kEvBroker };
 
 const char* front_name(FrontKind k) {
   switch (k) {
     case FrontKind::kServer:
       return "net::Server";
-    case FrontKind::kBroker:
-      return "svc::Broker";
     case FrontKind::kEvBroker:
       return "evloop::EvBroker";
   }
@@ -75,26 +72,6 @@ class Front {
         claims_ = [s] { return s->v3_outstanding_claims(); };
         stop_ = [s] { s->request_stop(); };
         thread_ = std::thread([s] { s->serve(); });
-        break;
-      }
-      case FrontKind::kBroker: {
-        svc::BrokerConfig cfg;
-        cfg.bind_addr = "127.0.0.1";
-        cfg.port = 0;
-        cfg.bits = kBits;
-        cfg.rounds_per_session = kRounds;
-        cfg.stream_chunk_rounds = kChunkRounds;
-        cfg.workers = 2;
-        cfg.spool_dir = spool_dir.string();
-        cfg.accept_poll_ms = 50;
-        cfg.verbose = false;
-        cfg.tcp.recv_timeout_ms = 10'000;
-        auto b = std::make_shared<svc::Broker>(cfg);
-        port_ = b->port();
-        stats_ = [b] { return b->stats().server; };
-        claims_ = [b] { return b->v3_outstanding_claims(); };
-        stop_ = [b] { b->request_stop(); };
-        thread_ = std::thread([b] { b->run(); });
         break;
       }
       case FrontKind::kEvBroker: {
@@ -248,8 +225,7 @@ class ServingFrontsTest : public ::testing::Test {
 TEST_F(ServingFrontsTest, EveryModeHasTheSameWireOnEveryFront) {
   const std::uint64_t want = net::demo_mac_reference(7, kBits, kRounds);
   std::vector<std::vector<Wire>> wires;
-  for (FrontKind kind :
-       {FrontKind::kServer, FrontKind::kBroker, FrontKind::kEvBroker}) {
+  for (FrontKind kind : {FrontKind::kServer, FrontKind::kEvBroker}) {
     SCOPED_TRACE(front_name(kind));
     fs::remove_all(spool_dir_);
     Front front(kind, spool_dir_);
@@ -273,8 +249,7 @@ TEST_F(ServingFrontsTest, EveryModeHasTheSameWireOnEveryFront) {
   }
   for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
     SCOPED_TRACE(kScenarios[i].name);
-    EXPECT_EQ(wires[1][i], wires[0][i]) << "svc::Broker vs net::Server";
-    EXPECT_EQ(wires[2][i], wires[0][i]) << "evloop::EvBroker vs net::Server";
+    EXPECT_EQ(wires[1][i], wires[0][i]) << "evloop::EvBroker vs net::Server";
     EXPECT_EQ(wires[0][i], kPinned[i]) << "drifted from the pinned wire";
   }
 }
@@ -282,8 +257,7 @@ TEST_F(ServingFrontsTest, EveryModeHasTheSameWireOnEveryFront) {
 // The server times its OT steps and its table/label sends inside the
 // session core, so every mode on every front reports both as nonzero.
 TEST_F(ServingFrontsTest, EveryModeReportsServerSideOtAndTransferTime) {
-  for (FrontKind kind :
-       {FrontKind::kServer, FrontKind::kBroker, FrontKind::kEvBroker}) {
+  for (FrontKind kind : {FrontKind::kServer, FrontKind::kEvBroker}) {
     SCOPED_TRACE(front_name(kind));
     fs::remove_all(spool_dir_);
     Front front(kind, spool_dir_);

@@ -1,22 +1,17 @@
-// Broker integration tests: N parallel clients against one broker
+// Broker integration tests: N parallel clients against one EvBroker
 // served from a disk spool, with every decoded MAC checked against the
-// plaintext reference and the sequential net::Server path; typed
-// overload/drain rejections; and a shutdown-latency bound (the accept
-// poll must observe request_stop() promptly).
+// plaintext reference and the sequential net::Server path; spool
+// inventory across broker restarts; stream, v3 and mixed traffic.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/rng.hpp"
+#include "evloop/ev_broker.hpp"
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
@@ -24,17 +19,13 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
-#include "svc/broker.hpp"
 
 namespace maxel::svc {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using evloop::EvBroker;
+using evloop::EvBrokerConfig;
 
 class BrokerTest : public ::testing::Test {
  protected:
@@ -50,14 +41,13 @@ class BrokerTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(spool_dir_); }
 
-  BrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
-    BrokerConfig cfg;
+  EvBrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
+    EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
     cfg.spool_dir = spool_dir_.string();
-    cfg.accept_poll_ms = 50;
     cfg.verbose = false;
     cfg.tcp.recv_timeout_ms = 5'000;
     return cfg;
@@ -104,13 +94,12 @@ TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
     sequential_mac = cs.output_value;
   }
 
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 4;
-  cfg.admission_queue = clients;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.spool_low_watermark = 2;
   cfg.spool_high_watermark = clients;
   cfg.max_sessions = clients;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   std::vector<net::ClientStats> results(clients);
@@ -149,87 +138,6 @@ TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
   EXPECT_EQ(client_tx, st.server.bytes_received);
 }
 
-// A full admission queue gets the typed kServerBusy verdict (retryable),
-// and connections still queued at stop time get kShuttingDown.
-TEST_F(BrokerTest, OverloadAndDrainSendTypedRejects) {
-  const std::size_t bits = 8, rounds = 4;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 1;
-  cfg.admission_queue = 1;
-  cfg.tcp.recv_timeout_ms = 3'000;  // bounds the blocked worker below
-  // This test's short settles race the producer's startup burst; keep
-  // the burst to the v2 lane only (v3 plays no part in admission/drain
-  // verdicts) so sanitizer builds don't blow the timing margin.
-  cfg.allow_v3 = false;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-
-  const auto idle_connect = [&] {
-    // Connects but never sends a hello: parks wherever the broker
-    // puts it (worker handshake or admission queue).
-    return net::TcpChannel::connect("127.0.0.1", broker.port(), cfg.tcp);
-  };
-  const auto settle = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  };
-
-  auto blocker = idle_connect();  // occupies the single worker
-  settle();
-  auto queued = idle_connect();  // fills the admission queue
-  settle();
-
-  // Third connection: queue full, must be rejected before the hello
-  // with a typed verdict — reject_connection lingers for the client's
-  // EOF so the verdict can't be reset away despite the unread hello.
-  try {
-    (void)net::run_client(quiet_client(broker.port(), bits));
-    ADD_FAILURE() << "expected kServerBusy rejection";
-  } catch (const net::HandshakeError& e) {
-    EXPECT_EQ(e.code(), net::RejectCode::kServerBusy);
-    EXPECT_TRUE(net::reject_is_retryable(e.code()));
-  } catch (const net::NetError& e) {
-    // A bare transport error here means the typed verdict was lost
-    // (the close-with-unread-hello reset race). Fail non-fatally: a
-    // fatal assert would unwind past the joinable broker thread below
-    // and turn the diagnostic into std::terminate.
-    ADD_FAILURE() << "expected a typed busy reject, got: " << e.what();
-  }
-
-  // Drain: stop first so the queued connection is popped as a drain
-  // reject, then release the worker by hanging up the blocker.
-  broker.request_stop();
-  blocker.reset();
-  const net::ServerAccept verdict = net::recv_accept(*queued);
-  EXPECT_EQ(verdict.status, net::RejectCode::kShuttingDown);
-  EXPECT_TRUE(net::reject_is_retryable(verdict.status));
-  queued.reset();
-  run.join();
-
-  const BrokerStats st = broker.stats();
-  EXPECT_EQ(st.admission_rejects, 1u);
-  EXPECT_EQ(st.drain_rejects, 1u);
-  EXPECT_EQ(st.server.sessions_served, 0u);
-}
-
-// request_stop() must be observed within the accept poll period, not a
-// blocking accept(2): an idle broker drains in well under a second.
-TEST_F(BrokerTest, ShutdownLatencyBoundedByAcceptPoll) {
-  BrokerConfig cfg = quiet_config(8, 4);
-  cfg.workers = 2;
-  cfg.accept_poll_ms = 50;
-  Broker broker(cfg);
-  std::thread run([&] { broker.run(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  const auto t0 = Clock::now();
-  broker.request_stop();
-  run.join();
-  // Budget: one accept poll + one producer wait + worker joins, with
-  // generous slack for slow CI machines; a blocking accept would hang
-  // here until an external connection arrived.
-  EXPECT_LT(seconds_since(t0), 2.0);
-}
-
 // Sessions survive a broker restart in the same spool directory: what
 // the first broker spooled but never served is served by the second,
 // and nothing is served twice across the lives.
@@ -237,12 +145,12 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
   const std::size_t bits = 8, rounds = 4;
   std::uint64_t first_spooled = 0, first_claimed = 0;
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 2;
     cfg.spool_high_watermark = 4;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
+    EvBroker broker(cfg);
     std::thread run([&] { broker.run(); });
     const net::ClientStats cs =
         net::run_client(quiet_client(broker.port(), bits));
@@ -256,12 +164,14 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
   // Second life, same directory: the leftover ready/ files are the
   // inventory; claimed/ leftovers (none here) would have been purged.
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
-    cfg.spool_low_watermark = 0;  // no refill: serve inherited stock only
+    EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
+    // No watermark refill, and a stocked lane is no demand: serve the
+    // inherited stock only.
+    cfg.spool_low_watermark = 0;
     cfg.spool_high_watermark = 0;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
+    EvBroker broker(cfg);
     EXPECT_EQ(broker.stats().spool.sessions_ready,
               first_spooled - first_claimed);
     std::thread run([&] { broker.run(); });
@@ -279,12 +189,12 @@ TEST_F(BrokerTest, RestartServesLeftoverSpoolWithoutReuse) {
 // mixed traffic against one broker, every MAC bit-identical.
 TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
   const std::size_t bits = 8, rounds = 6;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = 2;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = 2;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   net::ClientConfig pre = quiet_client(broker.port(), bits);
@@ -318,11 +228,11 @@ TEST_F(BrokerTest, StreamSessionsBypassSpoolAndMatchPrecomputed) {
 // typed reject and keeps serving precomputed traffic.
 TEST_F(BrokerTest, NoStreamBrokerRefusesStreamClients) {
   const std::size_t bits = 8, rounds = 4;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 1;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 1;
   cfg.max_sessions = 1;
   cfg.allow_stream = false;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   net::ClientConfig str = quiet_client(broker.port(), bits);
@@ -344,10 +254,10 @@ TEST_F(BrokerTest, NoStreamBrokerRefusesStreamClients) {
 // Broker metrics reflect the traffic that actually flowed.
 TEST_F(BrokerTest, MetricsTrackServedSessions) {
   const std::size_t bits = 8, rounds = 4, clients = 2;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = clients;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < clients; ++i)
@@ -375,12 +285,12 @@ TEST_F(BrokerTest, MetricsTrackServedSessions) {
 // touched).
 TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
   const std::size_t bits = 8, rounds = 6, sessions = 3;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 2;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = sessions;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = 4;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   crypto::SystemRandom id_rng;
@@ -426,19 +336,18 @@ TEST_F(BrokerTest, V3ClientsAmortizeBaseOtAcrossBrokerSessions) {
 }
 
 // Mixed concurrent traffic: v3 clients (each with its own identity and
-// pool) interleaved with v2 clients on a multi-worker broker. Every MAC
+// pool) interleaved with v2 clients on a multi-shard broker. Every MAC
 // matches, each lane's claims match its session count, and no OT-pool
 // claim is left outstanding.
 TEST_F(BrokerTest, MixedV2V3ConcurrentClientsKeepLanesSeparate) {
   const std::size_t bits = 8, rounds = 4, v3_clients = 3, v2_clients = 2;
   const std::size_t clients = v3_clients + v2_clients;
-  BrokerConfig cfg = quiet_config(bits, rounds);
-  cfg.workers = 4;
-  cfg.admission_queue = clients;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 2;
   cfg.max_sessions = clients;
   cfg.spool_low_watermark = 1;
   cfg.spool_high_watermark = clients;
-  Broker broker(cfg);
+  EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
   std::vector<net::ClientStats> results(clients);
@@ -489,12 +398,12 @@ TEST_F(BrokerTest, RestartBurnsForeignLineageV3SessionsInsteadOfServing) {
   const std::size_t bits = 8, rounds = 4;
   std::uint64_t first_v3_leftover = 0;
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 4;
     cfg.max_sessions = 1;
-    Broker broker(cfg);
+    EvBroker broker(cfg);
     std::thread run([&] { broker.run(); });
     net::ClientConfig ccfg = quiet_client(broker.port(), bits);
     ccfg.protocol = net::kProtocolVersionV3;
@@ -507,12 +416,12 @@ TEST_F(BrokerTest, RestartBurnsForeignLineageV3SessionsInsteadOfServing) {
     ASSERT_GT(first_v3_leftover, 0u) << "need stale v3 stock to restart on";
   }
   {
-    BrokerConfig cfg = quiet_config(bits, rounds);
-    cfg.workers = 2;
+    EvBrokerConfig cfg = quiet_config(bits, rounds);
+    cfg.shards = 2;
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 2;
     cfg.max_sessions = 1;
-    Broker broker(cfg);  // fresh delta: inherited v3 lineage is foreign
+    EvBroker broker(cfg);  // fresh delta: inherited v3 lineage is foreign
     EXPECT_EQ(broker.stats().spool.sessions_ready_v3, first_v3_leftover);
     std::thread run([&] { broker.run(); });
     net::ClientConfig ccfg = quiet_client(broker.port(), bits);

@@ -17,7 +17,9 @@ bench's key field and applies per-metric tolerances --
     never passes, whatever its speed;
   * relational invariants (stream strictly below precomputed on
     time-to-first-table and peak resident tables) compare rows of the
-    same run, so they hold on any machine speed.
+    same run, so they hold on any machine speed;
+  * absolute floors pin a row's metric to a fixed recorded value that
+    no tolerance discounts.
 
 Usage:
   bench_compare.py --baseline-dir bench/baselines [--bench-dir DIR]
@@ -83,12 +85,11 @@ CHECKS = {
         "lower_bound": ["sessions_per_sec"],
         "upper_bound": ["failed"],
         # The evloop gate: at the 100-concurrent point the shard front
-        # must serve at least the blocking worker pool's throughput --
-        # a measured-run ratio, so it holds at any machine speed. (Past
-        # that point the worker pool has no comparable configuration:
-        # 10k concurrent would need 10k stacks.)
-        "ratio": [
-            ("sessions_per_sec", "evloop-100", "workerpool-100", 1.0),
+        # must serve at least the retired blocking worker pool's
+        # recorded throughput (its workerpool-100 baseline row, 1604.9
+        # sessions/s) -- stricter than the tolerance floor above.
+        "floor": [
+            ("sessions_per_sec", "evloop-100", 1604.9),
         ],
     },
     "core_scaling": {
@@ -247,6 +248,19 @@ def check_bench(name, spec, baseline_rows, measured_rows, args, failures):
                 f"{name}: expected {metric}[{small_key}] < "
                 f"{metric}[{large_key}], got {small[metric]:.4g} >= "
                 f"{large[metric]:.4g}")
+
+    for metric, row_key, min_value in spec.get("floor", []):
+        row = measured.get(row_key)
+        if row is None:
+            failures.append(f"{name}: floor check needs row {key}={row_key}")
+            continue
+        ok = row[metric] >= min_value
+        print(f"  {name}[{key}={row_key}] {metric}: {row[metric]:.4g} "
+              f"(absolute floor {min_value:.4g}) {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(
+                f"{name}[{key}={row_key}]: {metric} {row[metric]:.4g} < "
+                f"absolute floor {min_value:.4g}")
 
     for metric, row_key, ref_key, min_ratio in spec.get("ratio", []):
         row = measured.get(row_key)

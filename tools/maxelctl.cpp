@@ -18,22 +18,21 @@
 //       The network service (garbler server / evaluator client); same
 //       flags as the standalone maxel_server / maxel_client binaries —
 //       see src/net/service.hpp and docs/PROTOCOL.md. `serve` is either
-//       the sequential server (default), the concurrent session
-//       broker (--spool DIR or --workers N — see src/svc/service.hpp
-//       and docs/OPERATIONS.md), or the sharded event-loop broker
-//       (--evloop [--shards N] — see src/evloop/ev_service.hpp); all
-//       three serve every connection through the same session core
-//       and take the session-mode selector
+//       the sequential server (default) or, with --spool DIR, the
+//       sharded session broker serving off a disk spool ([--shards N]
+//       — see src/evloop/ev_service.hpp and docs/OPERATIONS.md); both
+//       serve every connection through the same session core and take
+//       the session-mode selector
 //       --mode {precomputed|stream|v3|reusable} (the client side of
 //       `connect` takes the same flag to pick what it asks for; it is
 //       the only mode switch). `reusable` trades garbler privacy for
 //       garble-once throughput — see docs/SECURITY_MODELS.md. `connect`
 //       retries failed sessions from scratch with
-//       --retries/--retry-backoff; both sides take --fault-plan SPEC
-//       (or the MAXEL_FAULT_PLAN env var) to inject a deterministic
-//       schedule of link faults for chaos testing, and `serve` bounds
-//       stalled clients with --idle-timeout MS — see src/net/fault.hpp
-//       and docs/TESTING.md.
+//       --retries/--retry-backoff; the sequential server and the client
+//       take --fault-plan SPEC (or the MAXEL_FAULT_PLAN env var) to
+//       inject a deterministic schedule of link faults for chaos
+//       testing, and `serve` bounds stalled clients with
+//       --idle-timeout MS — see src/net/fault.hpp and docs/TESTING.md.
 //   maxelctl spool --dir DIR [--fill K --bits N --rounds M]
 //       Inspect or pre-fill a disk session spool; lists resident
 //       reusable artifacts (key, size, evaluations served, lineage).
@@ -83,9 +82,8 @@ int usage() {
                "usage: maxelctl "
                "<circuit|stats|simulate|bank|bench-mac|serve|connect|spool> "
                "[options]\n"
-               "  serve: sequential server (default), concurrent broker "
-               "(--spool DIR / --workers N),\n"
-               "  or sharded event-loop broker (--evloop [--shards N]);\n"
+               "  serve: sequential server (default), or the sharded session "
+               "broker (--spool DIR [--shards N]);\n"
                "  session modes via --mode "
                "{precomputed|stream|v3|reusable} on serve and connect\n"
                "  spool purge --lane reusable --dir DIR retires cached "
@@ -304,13 +302,10 @@ bool has_flag(int argc, char** argv, const char* flag) {
 int main(int argc, char** argv) {
   // The network/service subcommands own their flag parsing (shared with
   // the standalone maxel_server / maxel_client binaries). `serve` routes
-  // to the concurrent broker when spool/worker flags appear.
+  // to the session broker when --spool appears.
   if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    if (has_flag(argc - 2, argv + 2, "--evloop"))
-      return maxel::evloop::evloop_command(argc - 2, argv + 2);
-    if (has_flag(argc - 2, argv + 2, "--spool") ||
-        has_flag(argc - 2, argv + 2, "--workers"))
-      return maxel::svc::broker_command(argc - 2, argv + 2);
+    if (has_flag(argc - 2, argv + 2, "--spool"))
+      return maxel::evloop::broker_command(argc - 2, argv + 2);
     return maxel::net::serve_command(argc - 2, argv + 2);
   }
   if (argc >= 2 && std::strcmp(argv[1], "connect") == 0)
