@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of every primitive on the garbling
 // hot path: AES, the fixed-key hash, gate garbling and evaluation per
-// scheme, whole-MAC garbling, base OT and IKNP extension, and the
-// MAXelerator simulator itself.
+// scheme, the n-wide half-gates kernels, whole-MAC garbling, base OT and
+// IKNP extension, and the MAXelerator simulator itself.
 #include <benchmark/benchmark.h>
 
 #include "baseline/tinygarble.hpp"
@@ -81,6 +81,60 @@ void BM_EvaluateGate(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateGate);
 
+// One window of n independent ANDs through GateGarbler::garble_n: one
+// hash batch of 4n blocks. Items are ANDs, so the per-item time is the
+// cost of one AND at that window width (n = 1 is the scalar path).
+void BM_GarbleWindow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  crypto::SystemRandom rng(Block{9, n});
+  const gc::GateGarbler g(gc::Scheme::kHalfGates, crypto::random_delta(rng));
+  std::vector<circuit::AndForm> f(n,
+                                  circuit::and_form(circuit::GateType::kAnd));
+  std::vector<Block> a0(n), b0(n), tw(n), out0(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a0[i] = rng.next_block();
+    b0[i] = rng.next_block();
+    tw[i] = Block{2 * i, 0};
+  }
+  std::vector<gc::GarbledTable> tables(n);
+  for (auto _ : state) {
+    g.garble_n(f.data(), a0.data(), b0.data(), tw.data(), tables.data(),
+               out0.data(), n);
+    a0.swap(out0);  // feed outputs back so no window is hoisted
+    benchmark::DoNotOptimize(tables.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GarbleWindow)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+
+// The evaluator's side: one window of n ANDs, one hash batch of 2n.
+void BM_EvalWindow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  crypto::SystemRandom rng(Block{10, n});
+  const gc::GateGarbler g(gc::Scheme::kHalfGates, crypto::random_delta(rng));
+  const gc::GateGarbler ev(gc::Scheme::kHalfGates, Block::zero());
+  std::vector<circuit::AndForm> f(n,
+                                  circuit::and_form(circuit::GateType::kAnd));
+  std::vector<Block> a(n), b(n), tw(n), out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = rng.next_block();
+    b[i] = rng.next_block();
+    tw[i] = Block{2 * i, 0};
+  }
+  std::vector<gc::GarbledTable> tables(n);
+  g.garble_n(f.data(), a.data(), b.data(), tw.data(), tables.data(),
+             out.data(), n);
+  for (auto _ : state) {
+    ev.eval_n(a.data(), b.data(), tables.data(), tw.data(), out.data(), n);
+    a.swap(out);
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EvalWindow)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+
 void BM_GarbleMacRound(benchmark::State& state) {
   const auto b = static_cast<std::size_t>(state.range(0));
   const circuit::MacOptions opt{b, b, true,
@@ -111,7 +165,8 @@ void BM_MaxeleratorSimRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_MaxeleratorSimRound)->Arg(8)->Arg(32);
+// Arg(16) is the served and conv-layer width.
+BENCHMARK(BM_MaxeleratorSimRound)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_BaseOt(benchmark::State& state) {
   crypto::SystemRandom s_rng(Block{21, 1});

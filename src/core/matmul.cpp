@@ -1,6 +1,7 @@
 #include "core/matmul.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +38,20 @@ struct CellResult {
   bool verified = false;
 };
 
+// What every cell of one product shares read-only, on every pool core:
+// the hardware netlist and the evaluator's wave plan over it, built once
+// per product instead of once per cell.
+struct CellShared {
+  explicit CellShared(std::size_t bit_width)
+      : hw(std::make_shared<const HwMacNetlist>(
+            build_hw_mac_netlist(bit_width))),
+        waves(std::make_shared<const gc::WavePlan>(
+            gc::plan_waves(hw->circuit))) {}
+
+  std::shared_ptr<const HwMacNetlist> hw;
+  std::shared_ptr<const gc::WavePlan> waves;
+};
+
 // Garbles one output cell (i, j) — M MAC rounds on a fresh simulator —
 // and decodes it through the standard software evaluator. This is the
 // unit of work a GC core executes; both the serial and the pooled path
@@ -45,14 +60,16 @@ CellResult run_matmul_cell(const std::vector<std::vector<std::uint64_t>>& a,
                            const std::vector<std::vector<std::uint64_t>>& x,
                            std::size_t bit_width, const MatMulShape& shape,
                            std::size_t i, std::size_t j,
+                           const CellShared& shared,
                            crypto::RandomSource& rng,
                            MaxeleratorStats& stats_acc) {
   const circuit::MacOptions ref{bit_width, bit_width, true,
                                 circuit::Builder::MulStructure::kTree};
   MaxeleratorConfig cfg;
   cfg.bit_width = bit_width;
-  MaxeleratorSim sim(cfg, rng);
-  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates);
+  MaxeleratorSim sim(cfg, shared.hw, rng);
+  gc::CircuitEvaluator evaluator(sim.netlist(), gc::Scheme::kHalfGates,
+                                 shared.waves);
 
   std::uint64_t expect = 0;
   std::vector<crypto::Block> out_labels;
@@ -83,30 +100,8 @@ CellResult run_matmul_cell(const std::vector<std::vector<std::uint64_t>>& a,
   cell.decoded = circuit::from_bits(gc::decode_with_map(out_labels, out_map));
   cell.verified = cell.decoded == expect;
 
-  // Per-core accounting: sum this cell's run into the core's ledger.
-  const MaxeleratorStats& st = sim.stats();
-  if (stats_acc.bit_width == 0) {
-    stats_acc = st;
-  } else {
-    stats_acc.rounds += st.rounds;
-    stats_acc.total_stages += st.total_stages;
-    stats_acc.total_cycles += st.total_cycles;
-    stats_acc.prologue_stages += st.prologue_stages;
-    stats_acc.tables += st.tables;
-    stats_acc.table_bytes += st.table_bytes;
-    stats_acc.busy_slots += st.busy_slots;
-    stats_acc.idle_slots += st.idle_slots;
-    stats_acc.labels_generated += st.labels_generated;
-    stats_acc.rng_bits += st.rng_bits;
-    stats_acc.rng_underflows += st.rng_underflows;
-    stats_acc.memory_overflow_stalls += st.memory_overflow_stalls;
-    stats_acc.pcie_bytes += st.pcie_bytes;
-    stats_acc.pcie_seconds += st.pcie_seconds;
-    if (st.memory_peak_fill > stats_acc.memory_peak_fill)
-      stats_acc.memory_peak_fill = st.memory_peak_fill;
-    if (st.max_ops_per_stage > stats_acc.max_ops_per_stage)
-      stats_acc.max_ops_per_stage = st.max_ops_per_stage;
-  }
+  // Per-core accounting: fold this cell's run into the core's ledger.
+  stats_acc.accumulate(sim.stats());
   return cell;
 }
 
@@ -133,11 +128,12 @@ SecureMatMulResult secure_matmul_on_sim(
   res.product.assign(shape.n, std::vector<std::uint64_t>(shape.p, 0));
   res.verified = true;
 
+  const CellShared shared(bit_width);
   MaxeleratorStats acc;
   for (std::size_t i = 0; i < shape.n; ++i) {
     for (std::size_t j = 0; j < shape.p; ++j) {
       const CellResult cell =
-          run_matmul_cell(a, x, bit_width, shape, i, j, rng, acc);
+          run_matmul_cell(a, x, bit_width, shape, i, j, shared, rng, acc);
       res.product[i][j] = cell.decoded;
       res.verified = res.verified && cell.verified;
     }
@@ -159,13 +155,14 @@ ParallelMatMulResult parallel_matmul_on_pool(
   res.product.assign(shape.n, std::vector<std::uint64_t>(shape.p, 0));
   res.core_stats.assign(pool.cores(), MaxeleratorStats{});
   std::vector<char> cell_ok(cells, 0);
+  const CellShared shared(bit_width);
 
   // Each worker touches only its own cells / stats slot / rng, so the
   // loop body needs no locking; parallel_for joins before we aggregate.
   pool.parallel_for(cells, [&](std::size_t cell, std::size_t core) {
     const std::size_t i = cell / shape.p;
     const std::size_t j = cell % shape.p;
-    const CellResult r = run_matmul_cell(a, x, bit_width, shape, i, j,
+    const CellResult r = run_matmul_cell(a, x, bit_width, shape, i, j, shared,
                                          pool.core_rng(core),
                                          res.core_stats[core]);
     res.product[i][j] = r.decoded;

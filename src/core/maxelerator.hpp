@@ -5,7 +5,10 @@
 // hardware GC engine of Sec. 5.1. The FSM schedule dictates which gate;
 // wire labels come from the label-generator bank (Sec. 5.2); finished
 // tables land in the per-core memory blocks and drain through the PCIe
-// model (Sec. 5.1/Fig. 1).
+// model (Sec. 5.1/Fig. 1). Like the hardware cores, which work in
+// parallel, the simulator garbles one cycle at a time: it resolves the
+// input labels of the cycle's ops in core order, then hashes all of the
+// cycle's tables as one batch (GateGarbler::garble_n).
 //
 // The produced tables are standard half-gates tables over the hardware
 // MAC netlist with the library-wide tweak convention, so the ordinary
@@ -16,7 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -77,6 +80,12 @@ struct MaxeleratorStats {
 
   // Steady-state cycles per MAC (3b by construction; measured value).
   double cycles_per_mac = 0.0;
+
+  // Folds another run into this ledger (a GC core's, over its cells):
+  // counts add, peaks take the max and the RNG gated fraction is
+  // weighted by cycles. An empty ledger (bit_width 0) becomes `run`.
+  void accumulate(const MaxeleratorStats& run);
+
   [[nodiscard]] double garble_seconds() const {
     return static_cast<double>(total_cycles) / (clock_mhz * 1e6);
   }
@@ -120,6 +129,11 @@ struct RoundOutput {
 class MaxeleratorSim {
  public:
   MaxeleratorSim(const MaxeleratorConfig& cfg, crypto::RandomSource& rng);
+  // Runs on a prebuilt netlist (shared read-only, e.g. by every cell of
+  // a matmul); hw->bit_width must equal cfg.bit_width.
+  MaxeleratorSim(const MaxeleratorConfig& cfg,
+                 std::shared_ptr<const HwMacNetlist> hw,
+                 crypto::RandomSource& rng);
 
   // Garbles `rounds` sequential MAC rounds. The callback (if any) fires
   // once per completed round, in order.
@@ -127,28 +141,39 @@ class MaxeleratorSim {
   void run(std::uint64_t rounds, const RoundCallback& cb = nullptr);
 
   [[nodiscard]] const MaxeleratorStats& stats() const { return stats_; }
-  [[nodiscard]] const HwMacNetlist& hw() const { return hw_; }
-  [[nodiscard]] const circuit::Circuit& netlist() const { return hw_.circuit; }
+  [[nodiscard]] const HwMacNetlist& hw() const { return *hw_; }
+  [[nodiscard]] const circuit::Circuit& netlist() const { return hw_->circuit; }
   [[nodiscard]] const Block& delta() const { return delta_; }
   [[nodiscard]] const MaxeleratorConfig& config() const { return cfg_; }
 
  private:
+  // Labels and tables of one round in flight. The states live in a ring
+  // indexed by round number and are reused: opening a round only clears
+  // its has_label flags.
   struct RoundState {
+    std::uint64_t round = 0;
+    bool live = false;
     std::vector<Block> labels0;
     std::vector<char> has_label;
     std::vector<gc::GarbledTable> tables;  // netlist table order
     std::uint64_t ands_done = 0;
-    bool state_wires_ready = false;
   };
 
-  RoundState& round_state(std::uint64_t r);
-  Block resolve_label(std::uint64_t r, circuit::Wire w, int depth = 0);
-  void garble_op(const ScheduledOp& op, std::size_t core);
-  void finalize_round(std::uint64_t r, const RoundCallback& cb);
-  void seed_state_labels(std::uint64_t r);
+  RoundState& round_state(std::uint64_t r) {
+    RoundState& st = ring_[r & (ring_.size() - 1)];
+    return st.live && st.round == r ? st : open_round(st, r);
+  }
+  RoundState& open_round(RoundState& st, std::uint64_t r);
+  Block label(RoundState& st, circuit::Wire w) {
+    return st.has_label[w] ? st.labels0[w] : resolve_label(st, w);
+  }
+  Block resolve_label(RoundState& st, circuit::Wire w, int depth = 0);
+  using StageOps = std::vector<std::array<std::optional<ScheduledOp>, 3>>;
+  void garble_cycle(const StageOps& ops, std::size_t cyc);
+  void finalize_round(RoundState& st, const RoundCallback& cb);
 
   MaxeleratorConfig cfg_;
-  HwMacNetlist hw_;
+  std::shared_ptr<const HwMacNetlist> hw_;
   Block delta_;
   gc::GateGarbler engine_;
   hwsim::LabelBank bank_;
@@ -156,10 +181,21 @@ class MaxeleratorSim {
   hwsim::PcieLink pcie_;
   MaxeleratorStats stats_;
 
-  std::map<std::uint64_t, RoundState> rounds_;
+  // Round r lives in ring_[r % ring_.size()]; the size is a power of two.
+  std::vector<RoundState> ring_;
   std::vector<Block> initial_state_active_;
   std::uint64_t current_cycle_ = 0;
   std::uint64_t next_to_finalize_ = 0;
+
+  // One cycle's batch, staged by garble_cycle (one entry per busy core).
+  struct CycleOp {
+    RoundState* st;
+    std::uint32_t gate;
+  };
+  std::vector<CycleOp> cycle_ops_;
+  std::vector<circuit::AndForm> cycle_forms_;
+  std::vector<Block> cycle_a0_, cycle_b0_, cycle_tweaks_, cycle_out0_;
+  std::vector<gc::GarbledTable> cycle_tables_;
 
   // Wire classification for label resolution.
   std::vector<std::int32_t> producer_;  // gate index or -1 for inputs

@@ -11,8 +11,10 @@
 // the instruction, so 8 interleaved streams fully hide the latency —
 // this is the software analogue of the paper's "one garbled table per GC
 // core per clock": the cipher pipeline never starves as long as the
-// caller hands us independent blocks (the two hash pairs of a half-gates
-// table, or tables of many independent gates).
+// caller hands us independent blocks. The half-gates kernels
+// (GateGarbler::garble_n/eval_n) do: they hash a whole window of
+// independent ANDs per call — up to 64 blocks garbled, 32 evaluated —
+// so the 8-wide ladder runs full instead of once per 4-block table.
 #include "crypto/aes.hpp"
 
 #if defined(MAXEL_HAVE_AESNI)

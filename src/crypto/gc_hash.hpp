@@ -25,11 +25,10 @@ class GcHash {
     return aes_.encrypt(m) ^ m;
   }
 
-  // Batched H(x_i, t_i) for n independent inputs: the hot path of
-  // half-gates garbling. Masks are staged in a stack chunk so all AES
-  // calls of a chunk pipeline through the cipher back to back (AES-NI
-  // keeps 8 states in flight) instead of issuing one block at a time.
-  // `out` may alias `x` or `tweaks` elementwise.
+  // Batched H(x_i, t_i) for n independent inputs. Masks are staged in a
+  // stack chunk so all AES calls of a chunk pipeline through the cipher
+  // back to back (AES-NI keeps 8 states in flight) instead of issuing
+  // one block at a time. `out` may alias `x` or `tweaks` elementwise.
   void hash_batch(const Block* x, const Block* tweaks, Block* out,
                   std::size_t n) const {
     constexpr std::size_t kChunk = 16;
@@ -48,8 +47,9 @@ class GcHash {
   }
 
   // Batched variant for callers that already formed the hash inputs
-  // m_i = 2x_i ^ t_i themselves (e.g. a gate garbler staging the four
-  // hashes of one half-gates table together with their tweak halves).
+  // m_i = 2x_i ^ t_i themselves: the hot path of half-gates garbling.
+  // The gate kernels stage a whole window of tables (2(x ^ delta) =
+  // 2x ^ 2delta, so each label is doubled once) and hash it in one call.
   void hash_masked_batch(const Block* m, Block* out, std::size_t n) const {
     aes_.encrypt_batch(m, out, n);
     for (std::size_t i = 0; i < n; ++i) out[i] ^= m[i];

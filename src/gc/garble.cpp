@@ -1,5 +1,6 @@
 #include "gc/garble.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace maxel::gc {
@@ -72,6 +73,155 @@ GarblingPlan plan_garbling(const Circuit& c) {
 
 namespace {
 
+// Orders the gates by wave — wave[idx] is gate idx's wave, free gates
+// before the wave's ANDs, netlist order within each part — and maps every
+// operand through `slot` (identity when null).
+WavePlan build_plan(const Circuit& c, const std::vector<std::uint32_t>& wave,
+                    std::uint32_t num_waves,
+                    const std::vector<std::uint32_t>* slot) {
+  std::vector<std::uint32_t> free_count(num_waves, 0), and_count(num_waves, 0);
+  for (std::size_t idx = 0; idx < c.gates.size(); ++idx)
+    ++(circuit::is_free(c.gates[idx].type) ? free_count : and_count)[wave[idx]];
+
+  WavePlan plan;
+  plan.waves.resize(num_waves);
+  std::vector<std::uint32_t> free_next(num_waves), and_next(num_waves);
+  std::uint32_t free_total = 0, and_total = 0;
+  for (std::uint32_t k = 0; k < num_waves; ++k) {
+    free_next[k] = free_total;
+    and_next[k] = and_total;
+    free_total += free_count[k];
+    and_total += and_count[k];
+    plan.waves[k] = {free_total, and_total};
+  }
+  plan.free_gates.resize(free_total);
+  plan.and_gates.resize(and_total);
+  const auto at = [slot](Wire w) { return slot ? (*slot)[w] : w; };
+  std::uint32_t table = 0;
+  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
+    const auto& g = c.gates[idx];
+    if (circuit::is_free(g.type)) {
+      plan.free_gates[free_next[wave[idx]]++] = {
+          at(g.a), at(g.b), at(g.out), g.type == GateType::kXnor};
+    } else {
+      plan.and_gates[and_next[wave[idx]]++] = {
+          at(g.a), at(g.b), at(g.out), static_cast<std::uint32_t>(idx),
+          table++, circuit::and_form(g.type)};
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
+WavePlan plan_waves(const Circuit& c) {
+  // AND-depth of every wire: ANDs add one, free gates pass the max on.
+  // A free gate of depth k runs in wave k, an AND of depth k + 1 in
+  // wave k's window.
+  std::vector<std::uint32_t> depth(c.num_wires, 0);
+  std::vector<std::uint32_t> wave(c.gates.size());
+  std::uint32_t num_waves = 1;
+  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
+    const auto& g = c.gates[idx];
+    const bool free = circuit::is_free(g.type);
+    const std::uint32_t d = std::max(depth[g.a], depth[g.b]) + (free ? 0 : 1);
+    depth[g.out] = d;
+    wave[idx] = free ? d : d - 1;
+    num_waves = std::max(num_waves, wave[idx] + 1);
+  }
+  return build_plan(c, wave, num_waves, nullptr);
+}
+
+WavePlan plan_netlist_order(const Circuit& c,
+                            const std::vector<std::uint32_t>& slot_of_wire) {
+  // Each AND closes its wave: a window of one, in netlist order.
+  std::vector<std::uint32_t> wave(c.gates.size());
+  std::uint32_t k = 0;
+  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
+    wave[idx] = k;
+    if (!circuit::is_free(c.gates[idx].type)) ++k;
+  }
+  return build_plan(c, wave, k + 1, &slot_of_wire);
+}
+
+void garble_plan(const WavePlan& plan, const GateGarbler& gg,
+                 std::uint64_t round, Block* l, RoundTables& tables) {
+  constexpr std::size_t kW = GateGarbler::kWindow;
+  const Block& delta = gg.delta();
+  tables.tables.resize(plan.and_gates.size());
+  circuit::AndForm f[kW];
+  Block a0[kW], b0[kW], tw[kW], out0[kW];
+  GarbledTable tabs[kW];
+  std::size_t fi = 0, ai = 0;
+  for (const auto& wave : plan.waves) {
+    for (; fi < wave.free_end; ++fi) {
+      const auto& g = plan.free_gates[fi];
+      l[g.out] = g.xnor ? l[g.a] ^ l[g.b] ^ delta : l[g.a] ^ l[g.b];
+    }
+    if (ai + 1 == wave.and_end) {
+      // A window of one (every window of a netlist-order plan) skips the
+      // staging: on dependent gate chains its latency is the cost.
+      const auto& g = plan.and_gates[ai++];
+      l[g.out] = gg.garble(g.form, l[g.a], l[g.b], gate_tweak(g.gate, round),
+                           tables.tables[g.table]);
+    }
+    while (ai < wave.and_end) {
+      const std::size_t n = std::min<std::size_t>(kW, wave.and_end - ai);
+      const WavePlan::AndGate* ands = &plan.and_gates[ai];
+      for (std::size_t i = 0; i < n; ++i) {
+        f[i] = ands[i].form;
+        a0[i] = l[ands[i].a];
+        b0[i] = l[ands[i].b];
+        tw[i] = gate_tweak(ands[i].gate, round);
+      }
+      gg.garble_n(f, a0, b0, tw, tabs, out0, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        l[ands[i].out] = out0[i];
+        tables.tables[ands[i].table] = tabs[i];
+      }
+      ai += n;
+    }
+  }
+}
+
+void eval_plan(const WavePlan& plan, const GateGarbler& gg,
+               const RoundTables& tables, std::uint64_t round, Block* l) {
+  if (tables.tables.size() < plan.and_gates.size())
+    throw std::runtime_error("eval_round: table stream underrun");
+  if (tables.tables.size() != plan.and_gates.size())
+    throw std::runtime_error("eval_round: unconsumed garbled tables");
+  constexpr std::size_t kW = GateGarbler::kWindow;
+  Block a[kW], b[kW], tw[kW], c[kW];
+  GarbledTable tabs[kW];
+  std::size_t fi = 0, ai = 0;
+  for (const auto& wave : plan.waves) {
+    for (; fi < wave.free_end; ++fi) {
+      const auto& g = plan.free_gates[fi];
+      l[g.out] = l[g.a] ^ l[g.b];
+    }
+    if (ai + 1 == wave.and_end) {
+      const auto& g = plan.and_gates[ai++];
+      l[g.out] = gg.evaluate(l[g.a], l[g.b], tables.tables[g.table],
+                             gate_tweak(g.gate, round));
+    }
+    while (ai < wave.and_end) {
+      const std::size_t n = std::min<std::size_t>(kW, wave.and_end - ai);
+      const WavePlan::AndGate* ands = &plan.and_gates[ai];
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = l[ands[i].a];
+        b[i] = l[ands[i].b];
+        tabs[i] = tables.tables[ands[i].table];
+        tw[i] = gate_tweak(ands[i].gate, round);
+      }
+      gg.eval_n(a, b, tabs, tw, c, n);
+      for (std::size_t i = 0; i < n; ++i) l[ands[i].out] = c[i];
+      ai += n;
+    }
+  }
+}
+
+namespace {
+
 std::vector<std::uint32_t> layout_slots(const Circuit& c, LabelLayout layout) {
   if (layout == LabelLayout::kDense) {
     std::vector<std::uint32_t> identity(c.num_wires);
@@ -97,6 +247,9 @@ CircuitGarbler::CircuitGarbler(const Circuit& c, Scheme scheme,
       gg_(scheme, delta_),
       layout_(layout),
       slot_(layout_slots(c, layout)),
+      program_(layout == LabelLayout::kDense
+                   ? plan_waves(c)
+                   : plan_netlist_order(c, slot_)),
       labels0_(layout_size(c, layout), Block::zero()),
       next_state0_(c.dffs.size(), Block::zero()),
       initial_state_active_(c.dffs.size(), Block::zero()) {}
@@ -130,26 +283,7 @@ RoundTables CircuitGarbler::garble_round() {
   }
 
   RoundTables out;
-  out.tables.reserve(circ_.and_count());
-  for (std::size_t idx = 0; idx < circ_.gates.size(); ++idx) {
-    const auto& g = circ_.gates[idx];
-    switch (g.type) {
-      case GateType::kXor:
-        l0(g.out) = l0(g.a) ^ l0(g.b);
-        break;
-      case GateType::kXnor:
-        l0(g.out) = l0(g.a) ^ l0(g.b) ^ delta_;
-        break;
-      default: {
-        GarbledTable t;
-        l0(g.out) =
-            gg_.garble(circuit::and_form(g.type), l0(g.a), l0(g.b),
-                       gate_tweak(static_cast<std::uint32_t>(idx), round_), t);
-        out.tables.push_back(t);
-        break;
-      }
-    }
-  }
+  garble_plan(program_, gg_, round_, labels0_.data(), out);
 
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
     next_state0_[i] = l0(circ_.dffs[i].d);
@@ -209,7 +343,15 @@ bool CircuitGarbler::decode_output(std::size_t i, const Block& active) const {
 }
 
 CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme)
-    : circ_(c), gg_(scheme, Block::zero()), state_(c.dffs.size()) {}
+    : CircuitEvaluator(c, scheme,
+                       std::make_shared<const WavePlan>(plan_waves(c))) {}
+
+CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme,
+                                   std::shared_ptr<const WavePlan> plan)
+    : circ_(c),
+      gg_(scheme, Block::zero()),
+      plan_(std::move(plan)),
+      state_(c.dffs.size()) {}
 
 void CircuitEvaluator::set_initial_state_labels(std::vector<Block> labels) {
   if (labels.size() != circ_.dffs.size())
@@ -231,7 +373,7 @@ std::vector<Block> CircuitEvaluator::eval_round(
   // same netlist every round; reallocating it per round dominated the
   // evaluator's time for small MAC netlists). Every wire is written
   // before it is read — inputs/constants/state here, gate outputs in
-  // topological order below — so stale values never leak across rounds.
+  // wave order below — so stale values never leak across rounds.
   std::vector<Block>& active = active_;
   active.resize(circ_.num_wires);
   active[kConstZero] = fixed_labels[0];
@@ -243,21 +385,7 @@ std::vector<Block> CircuitEvaluator::eval_round(
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
     active[circ_.dffs[i].q] = state_[i];
 
-  std::size_t table_idx = 0;
-  for (std::size_t idx = 0; idx < circ_.gates.size(); ++idx) {
-    const auto& g = circ_.gates[idx];
-    if (circuit::is_free(g.type)) {
-      active[g.out] = active[g.a] ^ active[g.b];
-    } else {
-      if (table_idx >= tables.tables.size())
-        throw std::runtime_error("eval_round: table stream underrun");
-      active[g.out] =
-          gg_.evaluate(active[g.a], active[g.b], tables.tables[table_idx++],
-                       gate_tweak(static_cast<std::uint32_t>(idx), round_));
-    }
-  }
-  if (table_idx != tables.tables.size())
-    throw std::runtime_error("eval_round: unconsumed garbled tables");
+  eval_plan(*plan_, gg_, tables, round_, active.data());
 
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
     state_[i] = active[circ_.dffs[i].d];

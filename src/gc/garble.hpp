@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,64 @@ struct RoundMaterial {
   std::vector<Block> fixed_labels;     // active const labels
   std::vector<bool> output_map;        // point-and-permute decode colors
 };
+
+// A circuit's gates as a program of waves, built once per circuit and
+// walked by every label-level gate loop of this library: wave k runs its
+// free gates, then one window of independent ANDs through
+// GateGarbler::garble_n/eval_n as a single wide hash batch. Operands are
+// label-buffer slots (equal to wires for a dense buffer). Tables keep
+// netlist order: each AND carries its index in the round's table stream.
+// Two orders:
+//
+//  * plan_waves — AND-depth waves, for dense buffers (CircuitEvaluator
+//    and the dense CircuitGarbler). Wave k holds the free gates whose
+//    output has AND-depth k, in netlist order, then every AND of depth
+//    k + 1, which reads only wires of depth <= k.
+//  * plan_netlist_order — netlist order with one AND per window, for
+//    slot-planned buffers (the planned CircuitGarbler and
+//    StreamingEvaluator). Their slot plans recycle a slot at the wire's
+//    last use in netlist order, and wave order would keep more wires
+//    live (peak 111 -> 129 on the b=16 MAC, 253 -> 339 on the
+//    locality-scheduled b=32 MAC). Windows of consecutive independent
+//    ANDs would keep the slots but favour circuit::Builder's emission
+//    order (1.75 ANDs per run on the optimized b=16 MAC) over the
+//    locality schedule (1.32): fig_schedule_locality's
+//    scheduled/unscheduled MAC/s ratio fell to about 0.8 with them.
+struct WavePlan {
+  struct FreeGate {
+    std::uint32_t a = 0, b = 0, out = 0;  // slots
+    bool xnor = false;
+  };
+  struct AndGate {
+    std::uint32_t a = 0, b = 0, out = 0;  // slots
+    std::uint32_t gate = 0;   // netlist index: the tweak
+    std::uint32_t table = 0;  // position in the round's table stream
+    circuit::AndForm form;
+  };
+  // Wave k is free_gates[free_end(k-1), free_end(k)) followed by
+  // and_gates[and_end(k-1), and_end(k)).
+  struct Wave {
+    std::uint32_t free_end = 0;
+    std::uint32_t and_end = 0;
+  };
+  std::vector<FreeGate> free_gates;
+  std::vector<AndGate> and_gates;
+  std::vector<Wave> waves;
+};
+
+WavePlan plan_waves(const circuit::Circuit& c);
+WavePlan plan_netlist_order(const circuit::Circuit& c,
+                            const std::vector<std::uint32_t>& slot_of_wire);
+
+// One round of `plan` over a slot-indexed label buffer whose constant,
+// input and state slots are already set. garble_plan writes every gate's
+// output 0-label and `tables` (one per AND); eval_plan writes the active
+// labels and throws std::runtime_error unless `tables` holds exactly one
+// table per AND.
+void garble_plan(const WavePlan& plan, const GateGarbler& gg,
+                 std::uint64_t round, Block* labels0, RoundTables& tables);
+void eval_plan(const WavePlan& plan, const GateGarbler& gg,
+               const RoundTables& tables, std::uint64_t round, Block* labels);
 
 // Label storage layout of a CircuitGarbler.
 //
@@ -154,6 +213,7 @@ class CircuitGarbler {
   GateGarbler gg_;
   LabelLayout layout_;
   std::vector<std::uint32_t> slot_;  // wire -> label slot (identity if dense)
+  WavePlan program_;                 // wave order if dense, else netlist
   std::vector<Block> labels0_;       // current round, 0-labels per slot
   std::vector<Block> next_state0_;   // d-wire 0-labels carried to next round
   std::vector<Block> initial_state_active_;
@@ -163,6 +223,10 @@ class CircuitGarbler {
 class CircuitEvaluator {
  public:
   CircuitEvaluator(const circuit::Circuit& c, Scheme scheme);
+  // Shares a prebuilt plan_waves(c) read-only, so evaluators of one
+  // circuit (one per matmul cell, one per pool core) skip rebuilding it.
+  CircuitEvaluator(const circuit::Circuit& c, Scheme scheme,
+                   std::shared_ptr<const WavePlan> plan);
 
   // Must be called before round 0 when the circuit has DFFs.
   void set_initial_state_labels(std::vector<Block> labels);
@@ -178,6 +242,7 @@ class CircuitEvaluator {
  private:
   const circuit::Circuit& circ_;
   GateGarbler gg_;  // evaluation does not use delta; zero is fine
+  std::shared_ptr<const WavePlan> plan_;
   std::vector<Block> state_;
   std::vector<Block> active_;  // per-round wire buffer, reused across rounds
   std::uint64_t round_ = 0;

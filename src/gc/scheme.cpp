@@ -9,6 +9,19 @@ constexpr Block with_half(const Block& tweak, bool half) {
   return t;
 }
 
+// Stack staging for a kernel window, left uninitialized: Block's member
+// initializers would otherwise zero every slot on each call, which costs
+// as much as hashing a narrow window.
+template <typename T, std::size_t N>
+class Staging {
+ public:
+  T& operator[](std::size_t i) { return data()[i]; }
+  T* data() { return reinterpret_cast<T*>(raw_); }
+
+ private:
+  alignas(T) unsigned char raw_[N * sizeof(T)];
+};
+
 // Tweak-space separation for the classic scheme's derived output label.
 constexpr Block derive_tweak(const Block& tweak) {
   Block t = tweak;
@@ -23,12 +36,9 @@ Block GateGarbler::garble(const circuit::AndForm& f, const Block& a0,
                           GarbledTable& table) const {
   switch (scheme_) {
     case Scheme::kHalfGates: {
-      // Shift the inputs so the gate becomes a plain AND of
-      // a' = a ^ alpha, b' = b ^ beta; shift the output by gamma.
-      const Block a0p = f.alpha ? a0 ^ delta_ : a0;
-      const Block b0p = f.beta ? b0 ^ delta_ : b0;
-      const Block c0p = garble_halfgates(a0p, b0p, tweak, table);
-      return f.gamma ? c0p ^ delta_ : c0p;
+      Block out0;
+      garble_halfgates<1>(&f, &a0, &b0, &tweak, &table, &out0, 1);
+      return out0;
     }
     case Scheme::kClassic4:
       return garble_rows(f, a0, b0, tweak, /*reduce_row=*/false, table);
@@ -42,8 +52,11 @@ Block GateGarbler::evaluate(const Block& a, const Block& b,
                             const GarbledTable& table,
                             const Block& tweak) const {
   switch (scheme_) {
-    case Scheme::kHalfGates:
-      return eval_halfgates(a, b, table, tweak);
+    case Scheme::kHalfGates: {
+      Block out;
+      eval_halfgates<1>(&a, &b, &table, &tweak, &out, 1);
+      return out;
+    }
     case Scheme::kClassic4:
       return eval_rows(a, b, table, tweak, /*reduce_row=*/false);
     case Scheme::kGrr3:
@@ -52,59 +65,103 @@ Block GateGarbler::evaluate(const Block& a, const Block& b,
   return Block::zero();
 }
 
-// Zahur-Rosulek-Evans half gates: generator half (garbler knows p_b) and
-// evaluator half (evaluator knows s_b), each garbled with one H() call.
-Block GateGarbler::garble_halfgates(const Block& a0, const Block& b0,
-                                    const Block& tweak,
-                                    GarbledTable& table) const {
-  const Block t_g = with_half(tweak, false);
-  const Block t_e = with_half(tweak, true);
-  const bool pa = a0.lsb();
-  const bool pb = b0.lsb();
-
-  // Both AES pairs of the table issue as one batch so they pipeline
-  // through the cipher (the paper's one-table-per-clock datapath hashes
-  // all four in parallel; AES-NI hides the AESENC latency the same way).
-  const Block xs[4] = {a0, a0 ^ delta_, b0, b0 ^ delta_};
-  const Block ts[4] = {t_g, t_g, t_e, t_e};
-  Block h[4];
-  hash_.hash_batch(xs, ts, h, 4);
-  const Block &ha0 = h[0], &ha1 = h[1], &hb0 = h[2], &hb1 = h[3];
-
-  // Generator half gate.
-  Block tg = ha0 ^ ha1;
-  if (pb) tg ^= delta_;
-  Block wg = ha0;
-  if (pa) wg ^= tg;
-
-  // Evaluator half gate.
-  const Block te = hb0 ^ hb1 ^ a0;
-  Block we = hb0;
-  if (pb) we ^= te ^ a0;
-
-  table.ct[0] = tg;
-  table.ct[1] = te;
-  return wg ^ we;
+void GateGarbler::garble_n(const circuit::AndForm* f, const Block* a0,
+                           const Block* b0, const Block* tweaks,
+                           GarbledTable* tables, Block* out0,
+                           std::size_t n) const {
+  if (scheme_ != Scheme::kHalfGates) {
+    for (std::size_t i = 0; i < n; ++i)
+      out0[i] = garble(f[i], a0[i], b0[i], tweaks[i], tables[i]);
+    return;
+  }
+  for (std::size_t i = 0; i < n; i += kWindow) {
+    const std::size_t c = n - i < kWindow ? n - i : kWindow;
+    garble_halfgates<kWindow>(f + i, a0 + i, b0 + i, tweaks + i, tables + i,
+                              out0 + i, c);
+  }
 }
 
-Block GateGarbler::eval_halfgates(const Block& a, const Block& b,
-                                  const GarbledTable& table,
-                                  const Block& tweak) const {
-  const Block t_g = with_half(tweak, false);
-  const Block t_e = with_half(tweak, true);
-  const bool sa = a.lsb();
-  const bool sb = b.lsb();
+void GateGarbler::eval_n(const Block* a, const Block* b,
+                         const GarbledTable* tables, const Block* tweaks,
+                         Block* out, std::size_t n) const {
+  if (scheme_ != Scheme::kHalfGates) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = evaluate(a[i], b[i], tables[i], tweaks[i]);
+    return;
+  }
+  for (std::size_t i = 0; i < n; i += kWindow) {
+    const std::size_t c = n - i < kWindow ? n - i : kWindow;
+    eval_halfgates<kWindow>(a + i, b + i, tables + i, tweaks + i, out + i, c);
+  }
+}
 
-  const Block xs[2] = {a, b};
-  const Block ts[2] = {t_g, t_e};
-  Block h[2];
-  hash_.hash_batch(xs, ts, h, 2);
+// Zahur-Rosulek-Evans half gates: generator half (garbler knows p_b) and
+// evaluator half (evaluator knows s_b), each garbled with one H() call.
+// Every gate of the window stages its four hash inputs
+// 2x ^ t for x in {a, a^delta, b, b^delta} (2(x^delta) = 2x ^ 2delta, so
+// each label is doubled once), and the whole window goes through the
+// cipher as one batch: the paper's GC cores hash one table each per
+// clock in parallel, and AES-NI keeps 8 blocks in flight the same way.
+template <std::size_t kMax>
+void GateGarbler::garble_halfgates(const circuit::AndForm* f, const Block* a0,
+                                   const Block* b0, const Block* tweaks,
+                                   GarbledTable* tables, Block* out0,
+                                   std::size_t n) const {
+  Staging<Block, 4 * kMax> m, h;
+  Staging<Block, kMax> a;
+  bool pb[kMax];
+  for (std::size_t i = 0; i < n; ++i) {
+    // Shift the inputs so the gate becomes a plain AND of
+    // a' = a ^ alpha, b' = b ^ beta; the output is shifted by gamma.
+    a[i] = f[i].alpha ? a0[i] ^ delta_ : a0[i];
+    const Block b = f[i].beta ? b0[i] ^ delta_ : b0[i];
+    pb[i] = b.lsb();
+    m[4 * i] = a[i].gf_double() ^ with_half(tweaks[i], false);
+    m[4 * i + 1] = m[4 * i] ^ delta2_;
+    m[4 * i + 2] = b.gf_double() ^ with_half(tweaks[i], true);
+    m[4 * i + 3] = m[4 * i + 2] ^ delta2_;
+  }
+  hash_.hash_masked_batch(m.data(), h.data(), 4 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Block &ha0 = h[4 * i], &ha1 = h[4 * i + 1];
+    const Block &hb0 = h[4 * i + 2], &hb1 = h[4 * i + 3];
 
-  Block wg = h[0];
-  if (sa) wg ^= table.ct[0];
-  Block we = h[1];
-  if (sb) we ^= table.ct[1] ^ a;
-  return wg ^ we;
+    // Generator half gate.
+    Block tg = ha0 ^ ha1;
+    if (pb[i]) tg ^= delta_;
+    Block wg = ha0;
+    if (a[i].lsb()) wg ^= tg;
+
+    // Evaluator half gate.
+    const Block te = hb0 ^ hb1 ^ a[i];
+    Block we = hb0;
+    if (pb[i]) we ^= te ^ a[i];
+
+    tables[i].ct[0] = tg;
+    tables[i].ct[1] = te;
+    const Block c0 = wg ^ we;
+    out0[i] = f[i].gamma ? c0 ^ delta_ : c0;
+  }
+}
+
+template <std::size_t kMax>
+void GateGarbler::eval_halfgates(const Block* a, const Block* b,
+                                 const GarbledTable* tables,
+                                 const Block* tweaks, Block* out,
+                                 std::size_t n) const {
+  Staging<Block, 2 * kMax> m, h;
+  for (std::size_t i = 0; i < n; ++i) {
+    m[2 * i] = a[i].gf_double() ^ with_half(tweaks[i], false);
+    m[2 * i + 1] = b[i].gf_double() ^ with_half(tweaks[i], true);
+  }
+  hash_.hash_masked_batch(m.data(), h.data(), 2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Block wg = h[2 * i];
+    if (a[i].lsb()) wg ^= tables[i].ct[0];
+    Block we = h[2 * i + 1];
+    if (b[i].lsb()) we ^= tables[i].ct[1] ^ a[i];
+    out[i] = wg ^ we;
+  }
 }
 
 // Classic point-and-permute table (optionally GRR3 row-reduced). Row

@@ -13,9 +13,16 @@
 //
 // A non-XOR gate is garbled in its (alpha, beta, gamma) normal form
 // out = ((a^alpha) & (b^beta)) ^ gamma, so AND/NAND/OR/NOR share one path.
+//
+// The half-gates kernels are n-wide: garble_n/eval_n take a window of
+// independent gates (the ANDs of one AND-depth wave, or of one simulator
+// clock cycle) and hash all 4n / 2n blocks as one batch, which keeps the
+// AES pipeline full the way the hardware's parallel GC cores do. The
+// scalar garble/evaluate are the n = 1 case.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "circuit/netlist.hpp"
@@ -67,8 +74,13 @@ struct GarbledTable {
 // Free-XOR offset delta (lsb(delta) == 1).
 class GateGarbler {
  public:
+  // Widest window one kernel call hashes as a single batch: kWindow
+  // half-gates tables are 4 * kWindow blocks garbled, 2 * kWindow
+  // evaluated. Longer windows are split into kWindow-gate chunks.
+  static constexpr std::size_t kWindow = 16;
+
   GateGarbler(Scheme scheme, const Block& delta)
-      : scheme_(scheme), delta_(delta) {}
+      : scheme_(scheme), delta_(delta), delta2_(delta.gf_double()) {}
 
   [[nodiscard]] Scheme scheme() const { return scheme_; }
   [[nodiscard]] const Block& delta() const { return delta_; }
@@ -84,11 +96,31 @@ class GateGarbler {
   Block evaluate(const Block& a, const Block& b, const GarbledTable& table,
                  const Block& tweak) const;
 
+  // n-wide kernels over independent gates (no gate of the window reads
+  // another's output): gate i has normal form f[i], input labels
+  // a[i]/b[i] and tweak tweaks[i]; garble_n writes tables[i] and the
+  // output 0-label out0[i], eval_n reads tables[i] and writes the active
+  // output label out[i]. Each equals n calls of garble()/evaluate().
+  // Half gates hash the whole window as one batch; the row schemes
+  // garble gate by gate.
+  void garble_n(const circuit::AndForm* f, const Block* a0, const Block* b0,
+                const Block* tweaks, GarbledTable* tables, Block* out0,
+                std::size_t n) const;
+  void eval_n(const Block* a, const Block* b, const GarbledTable* tables,
+              const Block* tweaks, Block* out, std::size_t n) const;
+
  private:
-  Block garble_halfgates(const Block& a0, const Block& b0, const Block& tweak,
-                         GarbledTable& table) const;
-  Block eval_halfgates(const Block& a, const Block& b,
-                       const GarbledTable& table, const Block& tweak) const;
+  // Half-gates kernel bodies for n <= kMax gates, one hash batch each;
+  // the scalar entry points instantiate them at kMax = 1.
+  template <std::size_t kMax>
+  void garble_halfgates(const circuit::AndForm* f, const Block* a0,
+                        const Block* b0, const Block* tweaks,
+                        GarbledTable* tables, Block* out0,
+                        std::size_t n) const;
+  template <std::size_t kMax>
+  void eval_halfgates(const Block* a, const Block* b,
+                      const GarbledTable* tables, const Block* tweaks,
+                      Block* out, std::size_t n) const;
   Block garble_rows(const circuit::AndForm& f, const Block& a0,
                     const Block& b0, const Block& tweak, bool reduce_row,
                     GarbledTable& table) const;
@@ -97,6 +129,7 @@ class GateGarbler {
 
   Scheme scheme_;
   Block delta_;
+  Block delta2_;  // 2 * delta in GF(2^128): 2(x ^ delta) == 2x ^ delta2_
   crypto::GcHash hash_;
 };
 

@@ -73,6 +73,7 @@ StreamingEvaluator::StreamingEvaluator(const Circuit& c, Scheme scheme)
     : circ_(c),
       gg_(scheme, Block::zero()),
       plan_(plan_evaluation(c)),
+      program_(plan_netlist_order(c, plan_.slot_of_wire)),
       slots_(plan_.num_slots, Block::zero()),
       state_(c.dffs.size(), Block::zero()) {}
 
@@ -105,24 +106,7 @@ std::vector<Block> StreamingEvaluator::eval_round(
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
     at(circ_.dffs[i].q) = state_[i];
 
-  std::size_t table_idx = 0;
-  for (std::size_t idx = 0; idx < circ_.gates.size(); ++idx) {
-    const auto& g = circ_.gates[idx];
-    const Block a = at(g.a);
-    const Block b = at(g.b);
-    Block out;
-    if (circuit::is_free(g.type)) {
-      out = a ^ b;
-    } else {
-      if (table_idx >= tables.tables.size())
-        throw std::runtime_error("StreamingEvaluator: table underrun");
-      out = gg_.evaluate(a, b, tables.tables[table_idx++],
-                         gate_tweak(static_cast<std::uint32_t>(idx), round_));
-    }
-    at(g.out) = out;
-  }
-  if (table_idx != tables.tables.size())
-    throw std::runtime_error("StreamingEvaluator: unconsumed tables");
+  eval_plan(program_, gg_, tables, round_, slots_.data());
 
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
     state_[i] = at(circ_.dffs[i].d);

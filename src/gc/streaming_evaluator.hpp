@@ -9,7 +9,9 @@
 // count — typically an order of magnitude smaller for MAC netlists.
 //
 // Semantics are identical to CircuitEvaluator (asserted by tests); only
-// the storage strategy differs.
+// the storage strategy differs. The gate walk is the shared eval_plan,
+// over a netlist-order plan (plan_netlist_order) so slots recycle
+// exactly where plan_evaluation freed them.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +62,7 @@ class StreamingEvaluator {
   const circuit::Circuit& circ_;
   GateGarbler gg_;
   EvaluationPlan plan_;
+  WavePlan program_;  // netlist order over plan_'s slots
   std::vector<Block> slots_;
   std::vector<Block> state_;
   std::uint64_t round_ = 0;

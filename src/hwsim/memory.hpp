@@ -36,8 +36,9 @@ class TableMemory {
     }
     last_write_cycle_[block] = cycle;
     ++fill_[block];
+    ++total_fill_;
     ++total_writes_;
-    peak_fill_ = std::max(peak_fill_, total_fill());
+    peak_fill_ = std::max(peak_fill_, total_fill_);
   }
 
   // The PCIe bridge drains one table per cycle through the shared output
@@ -45,24 +46,18 @@ class TableMemory {
   bool drain_one(std::uint64_t cycle) {
     if (cycle == last_read_cycle_)
       throw std::logic_error("TableMemory::drain_one: one output port only");
-    for (std::size_t i = 0; i < fill_.size(); ++i) {
-      const std::size_t b = (drain_cursor_ + i) % fill_.size();
-      if (fill_[b] > 0) {
-        --fill_[b];
-        drain_cursor_ = (b + 1) % fill_.size();
-        last_read_cycle_ = cycle;
-        ++total_reads_;
-        return true;
-      }
-    }
-    return false;
+    if (total_fill_ == 0) return false;
+    std::size_t b = drain_cursor_;
+    while (fill_[b] == 0) b = next_block(b);
+    --fill_[b];
+    --total_fill_;
+    drain_cursor_ = next_block(b);
+    last_read_cycle_ = cycle;
+    ++total_reads_;
+    return true;
   }
 
-  [[nodiscard]] std::size_t total_fill() const {
-    std::size_t s = 0;
-    for (const auto f : fill_) s += f;
-    return s;
-  }
+  [[nodiscard]] std::size_t total_fill() const { return total_fill_; }
   [[nodiscard]] std::size_t peak_fill() const { return peak_fill_; }
   [[nodiscard]] std::uint64_t total_writes() const { return total_writes_; }
   [[nodiscard]] std::uint64_t total_reads() const { return total_reads_; }
@@ -71,11 +66,16 @@ class TableMemory {
   }
 
  private:
+  [[nodiscard]] std::size_t next_block(std::size_t b) const {
+    return b + 1 == fill_.size() ? 0 : b + 1;
+  }
+
   std::size_t capacity_;
   std::vector<std::size_t> fill_;
   std::vector<std::uint64_t> last_write_cycle_;
   std::uint64_t last_read_cycle_ = UINT64_MAX;
   std::size_t drain_cursor_ = 0;
+  std::size_t total_fill_ = 0;
   std::size_t peak_fill_ = 0;
   std::uint64_t total_writes_ = 0;
   std::uint64_t total_reads_ = 0;

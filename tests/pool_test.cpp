@@ -129,6 +129,71 @@ TEST(ParallelMatMul, ReproducibleForFixedSeedAndCores) {
   }
 }
 
+// Each core's ledger folds every cell it ran: with several cells per
+// core, counts are sums and the RNG peak and gated fraction are those of
+// the cells (a cycle-weighted mean of equal fractions is that fraction).
+TEST(ParallelMatMul, CoreLedgerFoldsEveryCell) {
+  const std::size_t b = 8, n = 3, m = 2, p = 3;  // 9 cells on 2 cores
+  crypto::Prg prg(Block{2025, 6});
+  std::vector<std::vector<std::uint64_t>> a(n, std::vector<std::uint64_t>(m));
+  std::vector<std::vector<std::uint64_t>> x(m, std::vector<std::uint64_t>(p));
+  for (auto& row : a)
+    for (auto& v : row) v = prg.next_u64();
+  for (auto& row : x)
+    for (auto& v : row) v = prg.next_u64();
+  const ParallelMatMulResult par = parallel_matmul(a, x, b, Block{5, 5}, 2);
+  ASSERT_TRUE(par.verified);
+
+  MaxeleratorConfig cfg;
+  cfg.bit_width = b;
+  crypto::SystemRandom rng(Block{5, 6});
+  MaxeleratorSim one(cfg, rng);
+  one.run(m);
+  const MaxeleratorStats& cell = one.stats();
+
+  std::uint64_t rounds = 0;
+  for (const auto& st : par.core_stats) {
+    ASSERT_EQ(st.rounds % m, 0u);
+    const std::uint64_t cells = st.rounds / m;
+    EXPECT_GE(cells, 2u);
+    rounds += st.rounds;
+    EXPECT_EQ(st.total_cycles, cells * cell.total_cycles);
+    EXPECT_EQ(st.rng_bits, cells * cell.rng_bits);
+    EXPECT_EQ(st.rng_peak_bits_per_cycle, cell.rng_peak_bits_per_cycle);
+    EXPECT_NEAR(st.rng_gated_fraction, cell.rng_gated_fraction, 1e-12);
+  }
+  EXPECT_EQ(rounds, n * m * p);
+}
+
+// The fold itself: peaks take the max, the gated fraction is weighted
+// by cycles, counts add — whichever run comes first.
+TEST(MaxeleratorStatsLedger, AccumulateTakesPeaksAndWeightsByCycles) {
+  MaxeleratorStats short_run;
+  short_run.bit_width = 8;
+  short_run.total_cycles = 100;
+  short_run.rng_gated_fraction = 0.5;
+  short_run.rng_peak_bits_per_cycle = 256;
+  short_run.memory_peak_fill = 3;
+  short_run.tables = 10;
+  MaxeleratorStats long_run = short_run;
+  long_run.total_cycles = 300;
+  long_run.rng_gated_fraction = 0.1;
+  long_run.rng_peak_bits_per_cycle = 512;
+  long_run.memory_peak_fill = 9;
+  long_run.tables = 30;
+
+  for (const bool short_first : {true, false}) {
+    MaxeleratorStats acc;
+    acc.accumulate(short_first ? short_run : long_run);
+    acc.accumulate(short_first ? long_run : short_run);
+    EXPECT_EQ(acc.total_cycles, 400u);
+    EXPECT_EQ(acc.tables, 40u);
+    EXPECT_EQ(acc.rng_peak_bits_per_cycle, 512u);
+    EXPECT_EQ(acc.memory_peak_fill, 9u);
+    EXPECT_NEAR(acc.rng_gated_fraction, (0.5 * 100 + 0.1 * 300) / 400, 1e-12);
+  }
+}
+
 TEST(ParallelMatMul, ShapeValidation) {
   std::vector<std::vector<std::uint64_t>> a = {{1, 2}};
   std::vector<std::vector<std::uint64_t>> bad = {{1}};
