@@ -22,10 +22,10 @@
 #include "crypto/rng.hpp"
 #include "net/client.hpp"
 #include "net/fault.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/channel.hpp"
+#include "serve_harness.hpp"
 #include "proto/protocol.hpp"
 #include "proto/threaded_channel.hpp"
 
@@ -263,21 +263,14 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Protocol v3 over the real server/client pair: PRG-seeded garbler
+    // Protocol v3 over the real broker/client pair: PRG-seeded garbler
     // labels, packed select bits, pool OT. bytes_per_mac here is the
     // steady-state wire cost (session bytes minus one-time pool setup);
     // bench_compare.py gates it at < 0.65x the v2 tcp-loopback row and
     // checks the decoded MAC is bit-identical to the v2 session's.
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = rounds;
+    evloop::EvBrokerConfig scfg = test::loopback_broker_config(bits, rounds);
     scfg.max_sessions = 2;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(scfg);
 
     net::ClientConfig ccfg;
     ccfg.port = server.port();
@@ -290,7 +283,7 @@ int main(int argc, char** argv) {
     const auto t0 = Clock::now();
     const net::ClientStats v3 = net::run_client(c3);
     const double secs = seconds_since(t0);
-    serve.join();
+    server.wait();
 
     const bool verified =
         v2.verified && v3.verified && v3.output_value == v2.output_value;
@@ -314,16 +307,9 @@ int main(int argc, char** argv) {
     // extension batch; later sessions resume the pool, so their setup
     // shrinks to a ticket exchange — gated at <= 10% of the 1st.
     const std::size_t r_rounds = 8, sessions = 100;
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = r_rounds;
+    evloop::EvBrokerConfig scfg = test::loopback_broker_config(bits, r_rounds);
     scfg.max_sessions = sessions;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(scfg);
 
     crypto::SystemRandom id_rng(crypto::Block{0xF1, 0x6});
     auto state = net::make_v3_client_state(id_rng);
@@ -342,7 +328,7 @@ int main(int argc, char** argv) {
       if (i == 10) setup[1] = cs.setup_bytes;
       if (i == sessions) setup[2] = cs.setup_bytes;
     }
-    serve.join();
+    server.wait();
 
     std::printf("\nv3 session resumption (b=%zu, %zu-round sessions): "
                 "setup bytes 1st=%llu 10th=%llu 100th=%llu%s\n",

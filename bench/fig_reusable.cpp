@@ -22,14 +22,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "crypto/rng.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
 #include "net/v3_service.hpp"
+#include "serve_harness.hpp"
 
 namespace {
 
@@ -60,21 +59,16 @@ struct ModeSpec {
   std::size_t sessions;        // how far to run this mode's curve
 };
 
-// One server, `spec.sessions` sequential reconnects from one client
+// One broker, `spec.sessions` sequential reconnects from one client
 // identity (v3/reusable share pool + artifact state across sessions,
 // exactly like a real long-lived client). Cumulative time and bytes
-// are sampled at each checkpoint.
+// are sampled at each checkpoint. Precomputed and v3 sessions come
+// pre-garbled off the broker's spool.
 std::vector<Checkpoint> run_mode(const ModeSpec& spec) {
-  net::ServerConfig scfg;
-  scfg.bind_addr = "127.0.0.1";
-  scfg.port = 0;
-  scfg.bits = kBits;
-  scfg.rounds_per_session = kRoundsPerSession;
+  evloop::EvBrokerConfig scfg =
+      test::loopback_broker_config(kBits, kRoundsPerSession);
   scfg.max_sessions = spec.sessions;
-  scfg.accept_poll_ms = 50;
-  scfg.verbose = false;
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   crypto::SystemRandom id_rng(crypto::Block{0xAB, 0xCD});
   auto state = net::make_v3_client_state(id_rng);
@@ -112,7 +106,7 @@ std::vector<Checkpoint> run_mode(const ModeSpec& spec) {
       ++next_cp;
     }
   }
-  serve.join();
+  server.wait();
   return out;
 }
 

@@ -1,11 +1,11 @@
 // fig_stream_pipeline — what does garble-while-transfer buy over
 // precompute-then-serve?
 //
-// Runs the same remote secure-MAC session twice against a cold
-// net::Server on loopback: once in precomputed mode (the client's first
-// table waits behind a full-session garble into the bank) and once in
-// stream mode (the server ships fixed-size chunks while it garbles, so
-// the client starts evaluating after one chunk). Three things are
+// Runs the same remote secure-MAC session twice against a cold broker
+// on loopback: once in precomputed mode (the client's first table waits
+// behind a full-session garble into the spool) and once in stream mode
+// (the server ships fixed-size chunks while it garbles, so the client
+// starts evaluating after one chunk). Three things are
 // measured per mode: end-to-end wall time, time-to-first-table at the
 // client, and the server's peak resident garbled tables — the stream
 // pipeline should be strictly better on the latter two, with wall time
@@ -15,11 +15,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "net/client.hpp"
-#include "net/server.hpp"
+#include "serve_harness.hpp"
 
 namespace {
 
@@ -41,23 +40,20 @@ struct ModeResult {
 
 ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
                     std::size_t bits, std::size_t chunk_rounds) {
-  net::ServerConfig scfg;
-  scfg.port = 0;
-  scfg.bits = bits;
-  scfg.rounds_per_session = rounds;
+  evloop::EvBrokerConfig scfg = test::loopback_broker_config(bits, rounds);
   scfg.max_sessions = 1;
-  scfg.verbose = false;
   scfg.stream_chunk_rounds = chunk_rounds;
-  scfg.bank_batch = 1;
-  // Cold start either way: in precomputed mode the bank begins empty, so
-  // the client's first table waits behind one full-session garble; in
-  // stream mode the watermark of 0 keeps the bank precompute thread
-  // idle so it cannot steal cores from the session's inline garbling.
-  scfg.bank_low_watermark =
-      mode == net::SessionMode::kStream ? 0 : 1;
-
-  net::Server server(scfg);
-  std::thread serve_thread([&] { server.serve(); });
+  // Cold start either way: in precomputed mode the spool begins empty
+  // and the producer starts garbling one session (and writing it to the
+  // spool) as the broker starts, so the client's first table waits
+  // behind that; in stream mode watermarks of 0 keep the producer idle
+  // so it cannot steal cores from the session's inline garbling. No v3
+  // client runs, so the v3 lane stays off.
+  const std::size_t stock = mode == net::SessionMode::kStream ? 0 : 1;
+  scfg.spool_low_watermark = stock;
+  scfg.spool_high_watermark = stock;
+  scfg.allow_v3 = false;
+  test::TestBroker server(scfg);
 
   net::ClientConfig ccfg;
   ccfg.port = server.port();
@@ -68,10 +64,10 @@ ModeResult run_mode(net::SessionMode mode, std::size_t rounds,
   const net::ClientStats cst = net::run_client(ccfg);
   ModeResult res;
   res.wall_seconds = seconds_since(t0);
-  serve_thread.join();
+  server.wait();
 
   res.first_table_seconds = cst.first_table_seconds;
-  res.peak_resident_tables = server.stats().peak_resident_tables;
+  res.peak_resident_tables = server.server_stats().peak_resident_tables;
   res.mac_per_sec = static_cast<double>(cst.rounds) / res.wall_seconds;
   res.bytes_per_mac =
       static_cast<double>(cst.bytes_received + cst.bytes_sent) /

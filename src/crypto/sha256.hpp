@@ -1,7 +1,10 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used as the key-derivation / random-oracle hash inside the base OT
-// (Chou-Orlandi style) and to fingerprint garbled-table streams in tests.
+// (Chou-Orlandi style), to checksum spooled sessions, and to fingerprint
+// garbled-table streams in tests. The compression function runs on the
+// x86 SHA extensions when the CPU has them (runtime CPUID dispatch) and
+// on the portable code otherwise; both produce the same digests.
 #pragma once
 
 #include <array>
@@ -36,12 +39,23 @@ class Sha256 {
   static std::string hex(const std::array<std::uint8_t, 32>& d);
 
  private:
-  void process_block(const std::uint8_t* p);
-
   std::array<std::uint32_t, 8> state_{};
   std::uint64_t bit_len_ = 0;
   std::array<std::uint8_t, 64> buf_{};
   std::size_t buf_len_ = 0;
 };
+
+namespace detail {
+
+// The SHA-256 compression function over `n` consecutive 64-byte blocks,
+// updating `state` in place. The SHA-NI variant may only be called when
+// sha256_shani_supported(); Sha256 picks between them by itself.
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* p,
+                              std::size_t n);
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* p,
+                           std::size_t n);
+[[nodiscard]] bool sha256_shani_supported();
+
+}  // namespace detail
 
 }  // namespace maxel::crypto

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <unordered_map>
 
 #include <errno.h>
@@ -79,12 +80,12 @@ int accept_nonblock(int lfd) {
 
 // Folds one finished session into `metrics`: histograms, counters and
 // per-mode wire bytes for a served session, the failure taxonomy
-// otherwise (an idle eviction counts like a blocking timeout). Returns
+// otherwise (an idle eviction counts as a timeout). Returns
 // the session's stats block with its failure counters applied, ready to
 // merge into the shard's totals.
-net::ServerStats record_session(svc::MetricsRegistry& metrics,
-                                const EvSession& s, bool evicted_idle) {
-  net::ServerStats local = s.stats();
+ServerStats record_session(svc::MetricsRegistry& metrics,
+                           const EvSession& s, bool evicted_idle) {
+  ServerStats local = s.stats();
   if (s.done()) {
     metrics.histogram("handshake_seconds").observe(local.handshake_seconds);
     metrics.histogram("transfer_seconds").observe(local.transfer_seconds);
@@ -230,10 +231,8 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
       spool_(svc::SpoolConfig{cfg.spool_dir, cfg.ram_cache_sessions, true}),
       pool_(cfg.precompute_cores, crypto::SystemRandom().next_block()) {
   if (cfg_.shards == 0) cfg_.shards = 1;
-  if (cfg_.idle_timeout_ms > 0) {
-    cfg_.tcp.recv_timeout_ms = cfg_.idle_timeout_ms;
-    cfg_.tcp.send_timeout_ms = cfg_.idle_timeout_ms;
-  }
+  if (cfg_.idle_timeout_ms <= 0)
+    throw std::invalid_argument("EvBroker: idle_timeout_ms must be > 0");
   expect_.scheme = cfg_.scheme;
   expect_.bit_width = static_cast<std::uint32_t>(cfg_.bits);
   expect_.circuit_hash = net::circuit_fingerprint(circ_);
@@ -364,20 +363,35 @@ std::size_t EvBroker::lane_ready(Lane lane) const {
   return lane == kLaneV2 ? spool_.ready() : spool_.ready_v3();
 }
 
-std::size_t EvBroker::refill_batch(Lane lane) const {
+std::size_t EvBroker::refill_batch(Lane lane) {
   if (lane == kLaneV3 && !cfg_.allow_v3) return 0;
   const std::size_t ready = lane_ready(lane);
+  // A lane that fell below the low watermark is stocked up to the high
+  // one, over as many passes as that takes.
+  if (ready < cfg_.spool_low_watermark) lane_filling_[lane] = true;
+  if (ready >= cfg_.spool_high_watermark) lane_filling_[lane] = false;
   const std::size_t stock =
-      ready < cfg_.spool_low_watermark ? cfg_.spool_high_watermark : 0;
+      lane_filling_[lane] ? cfg_.spool_high_watermark : 0;
   const std::size_t want =
       std::max(stock, lane_waiters_[lane].load(std::memory_order_relaxed));
-  return want > ready ? want - ready : 0;
+  return want > ready ? std::min(want - ready, pool_.cores()) : 0;
+}
+
+bool EvBroker::lane_starved(Lane lane) const {
+  return lane_waiters_[lane].load(std::memory_order_relaxed) >
+         lane_ready(lane);
 }
 
 void EvBroker::producer_loop() {
   while (!producer_stop_.load(std::memory_order_relaxed)) {
-    const std::size_t v2_batch = refill_batch(kLaneV2);
-    const std::size_t v3_batch = refill_batch(kLaneV3);
+    std::size_t v2_batch = refill_batch(kLaneV2);
+    std::size_t v3_batch = refill_batch(kLaneV3);
+    // Demand before stock: while takes wait on one lane only, the other
+    // lane's refill sits out this pass, so a client never waits behind
+    // the other lane's initial fill.
+    const bool v2_starved = lane_starved(kLaneV2);
+    if (v2_starved != lane_starved(kLaneV3))
+      (v2_starved ? v3_batch : v2_batch) = 0;
     if (v2_batch == 0 && v3_batch == 0) {
       std::unique_lock<std::mutex> lock(spool_mu_);
       spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
@@ -416,14 +430,6 @@ void EvBroker::producer_loop() {
 }
 
 // --- shard event handling -------------------------------------------------
-
-std::uint64_t EvBroker::idle_deadline_ms() const {
-  if (cfg_.idle_timeout_ms > 0)
-    return static_cast<std::uint64_t>(cfg_.idle_timeout_ms);
-  if (cfg_.tcp.recv_timeout_ms > 0)
-    return static_cast<std::uint64_t>(cfg_.tcp.recv_timeout_ms);
-  return 30'000;
-}
 
 void EvBroker::shard_loop(Shard& sh) {
   const int lfd = sh.listener->fd();
@@ -583,13 +589,14 @@ void EvBroker::service_conn(Shard& sh, EvConn* c) {
 
 void EvBroker::arm_idle(Shard& sh, EvConn* c) {
   const std::uint64_t now = EvLoop::now_ms();
-  const std::uint64_t due = c->last_activity + idle_deadline_ms();
+  const auto idle_ms = static_cast<std::uint64_t>(cfg_.idle_timeout_ms);
+  const std::uint64_t due = c->last_activity + idle_ms;
   c->idle_timer =
-      sh.loop.arm_timer(due > now ? due - now : 1, [this, &sh, c] {
+      sh.loop.arm_timer(due > now ? due - now : 1, [this, &sh, c, idle_ms] {
         c->idle_timer = 0;
         // Lazy re-arm: activity since arming pushes the deadline out
         // instead of resetting a timer on every byte.
-        if (EvLoop::now_ms() - c->last_activity >= idle_deadline_ms())
+        if (EvLoop::now_ms() - c->last_activity >= idle_ms)
           finish_conn(sh, c, /*evicted_idle=*/true);
         else
           arm_idle(sh, c);
@@ -617,8 +624,7 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
 
 void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
   EvSession& s = c.session;
-  const net::ServerStats local =
-      record_session(metrics_, s, evicted_idle);
+  const ServerStats local = record_session(metrics_, s, evicted_idle);
   if (s.done()) {
     if (local.reusable_sessions_served != 0)
       spool_.add_reusable_evaluations(reusable_key_,

@@ -1,7 +1,7 @@
-// The session broker behind `maxelctl serve --spool`: N single-threaded
-// shards, each running an EvLoop with its own SO_REUSEPORT listener,
-// serving every session mode through the session core's event-loop
-// driver (non-blocking EvSession machines). 10k concurrent sessions
+// The session broker behind maxel_server and `maxelctl serve`: N
+// single-threaded shards, each running an EvLoop with its own
+// SO_REUSEPORT listener, serving every session mode through the session
+// core (non-blocking EvSession machines). 10k concurrent sessions
 // cost 10k fds and state machines, not 10k stacks; one shard is the
 // whole front on a small host.
 //
@@ -25,8 +25,7 @@
 // Idle eviction: one timer wheel per shard, one armed timer per
 // connection, lazily re-armed against last-activity — 10k idle sessions
 // cost a wheel scan per tick, not 10k poll timeouts. An eviction counts
-// idle_timeouts + connection_errors, exactly like a blocking session's
-// timeout.
+// idle_timeouts + connection_errors.
 //
 // Stop discipline: request_stop() (any thread, but not a signal handler:
 // it posts a task to each shard) -> each shard closes its listener, so a
@@ -50,7 +49,6 @@
 #include "gc/v3.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "svc/metrics.hpp"
@@ -62,9 +60,9 @@
 namespace maxel::svc {
 
 // A broker stats snapshot: the `STATS` line and --json file of
-// `maxelctl serve --spool`.
+// `maxelctl serve`.
 struct BrokerStats {
-  net::ServerStats server;  // merged over shards (+ run() wall time)
+  evloop::ServerStats server;  // merged over shards (+ run() wall time)
   SpoolStats spool;
   std::uint64_t admission_rejects = 0;  // kServerBusy sent (fd limit)
 
@@ -105,7 +103,7 @@ struct EvBrokerConfig {
   std::size_t shards = 2;     // event-loop threads (>= 1)
   int listen_backlog = 1024;  // deep enough for 10k-client connect bursts
 
-  std::string spool_dir;  // required
+  std::string spool_dir;  // required (`serve` makes a temporary one)
   std::size_t spool_low_watermark = 2;
   std::size_t spool_high_watermark = 8;
   std::size_t ram_cache_sessions = 4;
@@ -117,10 +115,9 @@ struct EvBrokerConfig {
   bool allow_stream = true;
   bool allow_v3 = true;
   bool allow_reusable = true;
-  net::TcpOptions tcp;
-  // Per-connection idle deadline; when 0, tcp.recv_timeout_ms bounds a
-  // silent peer instead (same default the blocking transport enforces).
-  int idle_timeout_ms = 0;
+  // Per-connection idle deadline (> 0): a peer silent for this long, or
+  // not draining its output, is evicted.
+  int idle_timeout_ms = 30'000;
 };
 
 class EvBroker {
@@ -176,10 +173,12 @@ class EvBroker {
   // The spool's single-use session lanes, as the producer stocks them.
   enum Lane : std::size_t { kLaneV2, kLaneV3, kLanes };
   [[nodiscard]] std::size_t lane_ready(Lane lane) const;
-  // Sessions to garble into `lane` now (0 = none): a refill to the high
-  // watermark below the low one, and always enough for the takers
-  // waiting on the lane.
-  [[nodiscard]] std::size_t refill_batch(Lane lane) const;
+  // Sessions to garble into `lane` in one producer pass (0 = none): a
+  // refill to the high watermark below the low one, and always enough
+  // for the takers waiting on the lane, at most one per pool core.
+  [[nodiscard]] std::size_t refill_batch(Lane lane);
+  // More takes wait on `lane` than it has sessions ready.
+  [[nodiscard]] bool lane_starved(Lane lane) const;
   void producer_loop();
   // Pops a session from `lane` via `take` (a spool take returning an
   // optional), waiting on the producer while the lane is empty.
@@ -190,7 +189,6 @@ class EvBroker {
   // serve context. Corrupt or unparseable blobs are destroyed and
   // replaced by a fresh garbling, never served.
   void ensure_reusable();
-  [[nodiscard]] std::uint64_t idle_deadline_ms() const;
 
   EvBrokerConfig cfg_;
   circuit::Circuit circ_;
@@ -216,12 +214,13 @@ class EvBroker {
   std::atomic<std::uint64_t> precomputed_{0};
   std::atomic<std::int64_t> open_conns_{0};
   std::atomic<std::size_t> lane_waiters_[kLanes]{};
+  bool lane_filling_[kLanes]{};  // producer thread only
 
   std::mutex spool_mu_;
   std::condition_variable spool_cv_;
 
   mutable std::mutex stats_mu_;
-  std::vector<net::ServerStats> shard_stats_;
+  std::vector<ServerStats> shard_stats_;
   std::uint64_t admission_rejects_ = 0;
   double accept_wall_seconds_ = 0;
 

@@ -6,27 +6,29 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "evloop/ev_broker.hpp"
 #include "net/cli.hpp"
+#include "svc/session_spool.hpp"
 
 namespace maxel::evloop {
 
 int broker_command(int argc, char** argv) {
   EvBrokerConfig cfg;
-  cfg.verbose = true;  // like the other serve commands; --quiet mutes it
+  cfg.verbose = true;  // per-session log lines; --quiet mutes them
   std::string json_path, metrics_path;
   net::FlagParser p{argc, argv};
   std::string flag;
   while (p.next_flag(flag)) {
-    if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
+    if (flag == "--port") cfg.port = p.value_port();
     else if (flag == "--bind") { const char* v = p.value(); if (v) cfg.bind_addr = v; }
     else if (flag == "--bits") cfg.bits = p.value_u64();
     else if (flag == "--rounds") cfg.rounds_per_session = p.value_u64();
     else if (flag == "--shards") cfg.shards = p.value_u64();
-    else if (flag == "--backlog") cfg.listen_backlog = static_cast<int>(p.value_u64());
+    else if (flag == "--backlog") cfg.listen_backlog = p.value_int();
     else if (flag == "--spool") { const char* v = p.value(); if (v) cfg.spool_dir = v; }
     else if (flag == "--low") cfg.spool_low_watermark = p.value_u64();
     else if (flag == "--high") cfg.spool_high_watermark = p.value_u64();
@@ -48,7 +50,24 @@ int broker_command(int argc, char** argv) {
       cfg.allow_v3 = mc.v3;
       cfg.allow_reusable = mc.reusable;
     }
-    else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
+    else if (flag == "--idle-timeout") {
+      // 0 keeps the default deadline (EvBrokerConfig::idle_timeout_ms).
+      if (const int ms = p.value_int(); ms > 0) cfg.idle_timeout_ms = ms;
+    }
+    else if (flag == "--help" || flag == "-h") {
+      std::printf(
+          "maxel_server / maxelctl serve [flags]\n"
+          "  --port N --bind ADDR --bits N --rounds N --sessions N\n"
+          "  --cores N --seed N --scheme {halfgates|grr3|classic4}\n"
+          "  --chunk-rounds N --idle-timeout MS --json PATH --quiet\n"
+          "  --spool DIR (default: a private temporary spool, removed\n"
+          "        on exit) --shards N --backlog N --low N --high N\n"
+          "        --cache N --metrics PATH\n"
+          "  --mode {precomputed|stream|v3|reusable}  serve only this mode\n"
+          "        family (default: all four):\n%s",
+          net::kModeHelp);
+      return 0;
+    }
     else if (flag == "--scheme") {
       const char* v = p.value();
       if (!v || !net::parse_scheme(v, cfg.scheme)) {
@@ -56,17 +75,13 @@ int broker_command(int argc, char** argv) {
         return 2;
       }
     } else {
-      std::fprintf(stderr, "maxelctl serve (broker): unknown flag %s\n",
-                   flag.c_str());
+      std::fprintf(stderr, "maxel serve: unknown flag %s\n", flag.c_str());
       return 2;
     }
   }
   if (!p.ok || cfg.bits == 0 || cfg.rounds_per_session == 0 ||
-      cfg.shards == 0 || cfg.spool_dir.empty() ||
-      cfg.stream_chunk_rounds == 0) {
-    std::fprintf(stderr,
-                 "maxelctl serve (broker): bad flags (--spool DIR required, "
-                 "--shards >= 1)\n");
+      cfg.shards == 0 || cfg.stream_chunk_rounds == 0) {
+    std::fprintf(stderr, "maxel serve: bad flags\n");
     return 2;
   }
 
@@ -80,6 +95,10 @@ int broker_command(int argc, char** argv) {
   sigaddset(&stop_signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   try {
+    // Without --spool the sessions live in a private spool that goes
+    // away with the process, on every exit path below.
+    std::optional<svc::TempSpoolDir> private_spool;
+    if (cfg.spool_dir.empty()) cfg.spool_dir = private_spool.emplace().path();
     EvBroker broker(cfg);
     std::jthread waiter([&](std::stop_token stop) {
       const timespec poll{0, 100'000'000};  // 100 ms
@@ -112,7 +131,7 @@ int broker_command(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "maxelctl serve (broker): %s\n", e.what());
+    std::fprintf(stderr, "maxel serve: %s\n", e.what());
     return 1;
   }
 }

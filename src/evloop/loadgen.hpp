@@ -62,9 +62,9 @@ std::uint64_t raise_nofile_limit();
 
 class ReusableLoadgen {
  public:
-  // `reg` must be the registry of the broker under test (blocking or
-  // evloop — the wire is identical); `rctx` its reusable context;
-  // `expect` its handshake expectation (scheme/bits/hash/rounds).
+  // `reg` must be the registry of the broker under test; `rctx` its
+  // reusable context; `expect` its handshake expectation
+  // (scheme/bits/hash/rounds).
   ReusableLoadgen(net::V3PoolRegistry& reg,
                   const net::ReusableServeContext& rctx,
                   const net::ServerExpectation& expect);

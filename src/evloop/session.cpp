@@ -1,6 +1,7 @@
 #include "evloop/session.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "net/error.hpp"
@@ -20,15 +21,71 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-EvSession::EvSession(const EvServeContext& ctx)
-    : ctx_(&ctx),
-      ch_(&buffered_),
-      a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
+void ServerStats::merge(const ServerStats& other) {
+  sessions_served += other.sessions_served;
+  rounds_served += other.rounds_served;
+  handshakes_rejected += other.handshakes_rejected;
+  connection_errors += other.connection_errors;
+  idle_timeouts += other.idle_timeouts;
+  bytes_sent += other.bytes_sent;
+  bytes_received += other.bytes_received;
+  sessions_precomputed += other.sessions_precomputed;
+  stream_sessions_served += other.stream_sessions_served;
+  v3_sessions_served += other.v3_sessions_served;
+  reusable_sessions_served += other.reusable_sessions_served;
+  reusable_artifacts_sent += other.reusable_artifacts_sent;
+  reusable_garbles += other.reusable_garbles;
+  v3_fresh_pools += other.v3_fresh_pools;
+  v3_ot_extended += other.v3_ot_extended;
+  peak_resident_tables = std::max(peak_resident_tables,
+                                  other.peak_resident_tables);
+  handshake_seconds += other.handshake_seconds;
+  transfer_seconds += other.transfer_seconds;
+  ot_seconds += other.ot_seconds;
+  first_table_seconds += other.first_table_seconds;
+  total_seconds += other.total_seconds;
+}
 
-EvSession::EvSession(const EvServeContext& ctx, proto::Channel& wire)
-    : ctx_(&ctx),
-      ch_(&wire),
-      a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
+std::string ServerStats::to_json() const {
+  char buf[1536];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"role\":\"server\",\"sessions_served\":%llu,\"rounds_served\":%llu,"
+      "\"handshakes_rejected\":%llu,\"connection_errors\":%llu,"
+      "\"idle_timeouts\":%llu,"
+      "\"bytes_sent\":%llu,\"bytes_received\":%llu,"
+      "\"sessions_precomputed\":%llu,\"stream_sessions_served\":%llu,"
+      "\"v3_sessions_served\":%llu,"
+      "\"reusable_sessions_served\":%llu,\"reusable_artifacts_sent\":%llu,"
+      "\"reusable_garbles\":%llu,"
+      "\"v3_fresh_pools\":%llu,"
+      "\"v3_ot_extended\":%llu,"
+      "\"peak_resident_tables\":%llu,\"handshake_seconds\":%.6f,"
+      "\"transfer_seconds\":%.6f,\"ot_seconds\":%.6f,"
+      "\"first_table_seconds\":%.6f,\"total_seconds\":%.6f}",
+      static_cast<unsigned long long>(sessions_served),
+      static_cast<unsigned long long>(rounds_served),
+      static_cast<unsigned long long>(handshakes_rejected),
+      static_cast<unsigned long long>(connection_errors),
+      static_cast<unsigned long long>(idle_timeouts),
+      static_cast<unsigned long long>(bytes_sent),
+      static_cast<unsigned long long>(bytes_received),
+      static_cast<unsigned long long>(sessions_precomputed),
+      static_cast<unsigned long long>(stream_sessions_served),
+      static_cast<unsigned long long>(v3_sessions_served),
+      static_cast<unsigned long long>(reusable_sessions_served),
+      static_cast<unsigned long long>(reusable_artifacts_sent),
+      static_cast<unsigned long long>(reusable_garbles),
+      static_cast<unsigned long long>(v3_fresh_pools),
+      static_cast<unsigned long long>(v3_ot_extended),
+      static_cast<unsigned long long>(peak_resident_tables),
+      handshake_seconds, transfer_seconds, ot_seconds, first_table_seconds,
+      total_seconds);
+  return buf;
+}
+
+EvSession::EvSession(const EvServeContext& ctx)
+    : ctx_(&ctx), a_inputs_(ctx.demo_seed, net::kGarblerStream, ctx.bits) {}
 
 EvSession::~EvSession() { teardown(); }
 
@@ -50,7 +107,6 @@ void EvSession::release_gate() {
   if (!gate_held_) return;
   gate_held_ = false;
   entry_->ev_gate.store(false, std::memory_order_release);
-  entry_->ev_gate.notify_all();  // wakes blocking sessions of this client
 }
 
 void EvSession::ot_end() { stats_.ot_seconds += seconds_since(t_ot_); }
@@ -69,11 +125,8 @@ void EvSession::fail(EvError kind, const std::string& what) {
   err_text_ = what;
   state_ = St::kFailed;
   // A handshake reject is already staged on the channel; cut its frame
-  // so the owning connection can still deliver the verdict. (A blocking
-  // wire pushes it when the front closes the channel, exactly once: the
-  // link may be what failed, and a second push would wait out a second
-  // send deadline.)
-  buffered_.flush();
+  // so the owning connection can still deliver the verdict.
+  ch_.flush();
 }
 
 template <typename F>
@@ -96,7 +149,7 @@ void EvSession::guarded(F&& f) {
 void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
   if (state_ == St::kDone || state_ == St::kFailed) return;
   guarded([&] {
-    if (n > 0) buffered_.ingest(data, n);
+    if (n > 0) ch_.ingest(data, n);
     advance();
   });
 }
@@ -113,43 +166,28 @@ void EvSession::on_gate_retry() {
   guarded([&] { advance(); });
 }
 
-void EvSession::serve_blocking() {
-  guarded([&] {
-    while (state_ != St::kDone && state_ != St::kFailed) {
-      if (wants_gate_retry_) {
-        // Another session of this client holds the pool gate; sleep
-        // until its release_gate() flips the flag, then race again.
-        entry_->ev_gate.wait(true, std::memory_order_acquire);
-        wants_gate_retry_ = false;
-      }
-      step();  // every recv blocks on the wire until its bytes arrive
-    }
-  });
-}
-
 void EvSession::advance() {
   while (state_ != St::kDone && state_ != St::kFailed &&
          !wants_gate_retry_) {
-    if (buffered_.available() < current_need()) break;
+    if (ch_.available() < current_need()) break;
     step();
   }
   // Parking (or finishing) is a phase boundary: everything staged must
   // become drainable output now, because the peer cannot produce the
   // bytes we wait for until it has seen ours.
-  buffered_.flush();
+  ch_.flush();
 }
 
 std::size_t EvSession::hello_need() const {
-  const BufferedChannel& ch = buffered_;
-  if (ch.available() < net::kHelloWireSize) return net::kHelloWireSize;
+  if (ch_.available() < net::kHelloWireSize) return net::kHelloWireSize;
   // A bad magic rejects on the bare hello; only a well-formed version-3
   // hello carries the extension (which the handshake drains even when
   // v3 is disabled, so the reject verdict survives the close).
-  if (ch.peek_u64(0) != net::kHelloMagic) return net::kHelloWireSize;
-  if (ch.peek_u32(8) != net::kProtocolVersionV3) return net::kHelloWireSize;
+  if (ch_.peek_u64(0) != net::kHelloMagic) return net::kHelloWireSize;
+  if (ch_.peek_u32(8) != net::kProtocolVersionV3) return net::kHelloWireSize;
   const std::size_t ext_base = net::kHelloWireSize + 16 + 1;
-  if (ch.available() < ext_base) return ext_base;
-  if (ch.peek_u8(net::kHelloWireSize + 16) == 1)
+  if (ch_.available() < ext_base) return ext_base;
+  if (ch_.peek_u8(net::kHelloWireSize + 16) == 1)
     return ext_base + proto::ResumptionTicket::kWireSize;
   return ext_base;
 }
@@ -244,7 +282,7 @@ void EvSession::step() {
       return;
     case St::kPoolBase2: {
       crypto::SystemRandom setup_rng(ctx_->reg->next_block());
-      pool_->base_setup_step2(*ch_, setup_rng);
+      pool_->base_setup_step2(ch_, setup_rng);
       state_ = St::kPoolBase4;
       return;
     }
@@ -256,7 +294,7 @@ void EvSession::step() {
         finish_pool_setup();
       return;
     case St::kPoolExtend:
-      pool_->extend(*ch_, static_cast<std::size_t>(extend_count_));
+      pool_->extend(ch_, static_cast<std::size_t>(extend_count_));
       finish_pool_setup();
       return;
     case St::kV3Round:
@@ -272,7 +310,7 @@ void EvSession::step() {
 }
 
 void EvSession::finish_handshake() {
-  const net::V23Handshake hs = net::server_handshake_v23(*ch_, ctx_->expect);
+  const net::V23Handshake hs = net::server_handshake_v23(ch_, ctx_->expect);
   hello_ = hs.hello;
   ext_ = hs.ext;
   v3_ = hs.version == net::kProtocolVersionV3;
@@ -325,7 +363,7 @@ void EvSession::init_precomputed() {
   stats_.peak_resident_tables =
       std::max(stats_.peak_resident_tables, resident);
   party_ = std::make_unique<proto::PrecomputedGarblerParty>(
-      std::move(session), *ch_, rng_,
+      std::move(session), ch_, rng_,
       iknp_ ? proto::PrecomputedOtMode::kIknp
             : proto::PrecomputedOtMode::kBase);
   if (iknp_) {
@@ -348,18 +386,16 @@ void EvSession::begin_pre_round() {
 void EvSession::init_stream() {
   mode_ = Mode::kStream;
   // Rounds are garbled inline, one chunk at a time, right before the
-  // chunk goes out: on the event loop other sessions fill the garbling
-  // time; on a blocking wire it overlaps the client's evaluation of the
-  // previous chunk's last round.
+  // chunk goes out; other sessions on the loop fill the garbling time.
   garbler_ = std::make_unique<gc::CircuitGarbler>(
       *ctx_->circ, ctx_->scheme, rng_, gc::LabelLayout::kPlanned);
   if (iknp_) {
-    iknp_ot_ = std::make_unique<ot::IknpSender>(*ch_, rng_);
+    iknp_ot_ = std::make_unique<ot::IknpSender>(ch_, rng_);
     ot_ = iknp_ot_.get();
     ot_begin();
     state_ = St::kOtSetup2;
   } else {
-    base_ot_ = std::make_unique<ot::BaseOtSender>(*ch_, rng_);
+    base_ot_ = std::make_unique<ot::BaseOtSender>(ch_, rng_);
     ot_ = base_ot_.get();
     start_stream_chunk();
   }
@@ -381,7 +417,7 @@ void EvSession::start_stream_chunk() {
       std::max(stats_.peak_resident_tables, chunk_tables);
 
   const auto t0 = Clock::now();
-  proto::send_chunk(*ch_, wc);
+  proto::send_chunk(ch_, wc);
   stats_.transfer_seconds += seconds_since(t0);
   if (wc.first_round == 0)
     stats_.first_table_seconds += seconds_since(t_session_);
@@ -392,17 +428,16 @@ void EvSession::start_stream_chunk() {
 }
 
 void EvSession::pool_gate_step() {
-  // One session per client entry at a time across every shard and
-  // front. Losing the exchange parks this session: the event loop
-  // retries off a timer (the holder may be a sibling on the same loop
-  // thread), the blocking driver waits on the atomic.
+  // One session per client entry at a time across every shard. Losing
+  // the exchange parks this session; the broker retries it off a timer
+  // (the holder may be a sibling on the same loop thread).
   if (entry_->ev_gate.exchange(true, std::memory_order_acq_rel)) {
     wants_gate_retry_ = true;
     return;
   }
   gate_held_ = true;
   if (mode_ == Mode::kV3) {
-    const proto::V3ClientSetup cs = proto::recv_client_setup(*ch_);
+    const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
     reconcile_pool(cs.extended);
     proto::V3ServerSetup ss;
     ss.fresh = fresh_pool_;
@@ -411,10 +446,10 @@ void EvSession::pool_gate_step() {
     ss.start_index = claim_start_expected_;
     ss.claim_count = need_total_;
     ss.extend_count = extend_count_;
-    proto::send_server_setup(*ch_, ss);
+    proto::send_server_setup(ch_, ss);
   } else {
     const proto::ReusableClientSetup cs =
-        proto::recv_reusable_client_setup(*ch_);
+        proto::recv_reusable_client_setup(ch_);
     reconcile_pool(cs.extended);
     artifact_sent_ =
         !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
@@ -428,7 +463,7 @@ void EvSession::pool_gate_step() {
     ss.artifact_bytes =
         artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
     ss.artifact_sha = ctx_->reusable->view_sha;
-    proto::send_reusable_server_setup(*ch_, ss);
+    proto::send_reusable_server_setup(ch_, ss);
   }
   enter_pool_setup();
 }
@@ -473,7 +508,7 @@ void EvSession::reconcile_pool(std::uint64_t client_extended) {
 }
 
 void EvSession::enter_pool_setup() {
-  ch_->flush();
+  ch_.flush();
   if (fresh_pool_ || extend_count_ > 0) ot_begin();
   if (fresh_pool_)
     state_ = St::kPoolBase2;
@@ -489,21 +524,21 @@ void EvSession::finish_pool_setup() {
   claim_open_ = true;
   if (claim_.start != claim_start_expected_)
     throw std::logic_error("evloop: pool claim raced despite the gate");
-  proto::send_ticket(*ch_, proto::ResumptionTicket{pool_->pool_id(),
+  proto::send_ticket(ch_, proto::ResumptionTicket{pool_->pool_id(),
                                                    ext_->client_id, cookie_});
   if (mode_ == Mode::kReusable && artifact_sent_) {
     const auto t0 = Clock::now();
-    ch_->send_bytes(ctx_->reusable->view_bytes.data(),
+    ch_.send_bytes(ctx_->reusable->view_bytes.data(),
                     ctx_->reusable->view_bytes.size());
     stats_.transfer_seconds += seconds_since(t0);
   }
-  ch_->flush();
+  ch_.flush();
   release_gate();
 
   if (mode_ == Mode::kV3) {
     proto::SeedExpansionRecord seed;
     seed.label_seed = v3_session_.label_seed;
-    proto::send_seed_expansion(*ch_, seed);
+    proto::send_seed_expansion(ch_, seed);
     round_idx_ = claim_.start;
     r_ = 0;
     v3_send_round_frame();
@@ -519,15 +554,15 @@ void EvSession::v3_send_round_frame() {
   frame.rows = v3_session_.rounds[r_].rows;
   frame.output_map = v3_session_.rounds[r_].output_map;
   const auto t0 = Clock::now();
-  proto::send_round_frame(*ch_, frame);
-  ch_->flush();
+  proto::send_round_frame(ch_, frame);
+  ch_.flush();
   stats_.transfer_seconds += seconds_since(t0);
   if (r_ == 0) stats_.first_table_seconds += seconds_since(t_session_);
   ot_begin();
 }
 
 void EvSession::v3_round_step() {
-  proto::answer_v3_round(*ch_, v3_session_.rounds[r_], v3_session_.delta,
+  proto::answer_v3_round(ch_, v3_session_.rounds[r_], v3_session_.delta,
                          *pool_, round_idx_);
   ot_end();
   round_idx_ += n_eval_;
@@ -542,14 +577,14 @@ void EvSession::v3_round_step() {
 }
 
 void EvSession::re_dbits_step() {
-  const std::uint64_t n = ch_->recv_u64();
+  const std::uint64_t n = ch_.recv_u64();
   if (n != need_total_)
     throw net::FramingError(
         "reusable session: choice-adjust bits carries " + std::to_string(n) +
         " bits, expected " + std::to_string(need_total_));
   std::vector<std::uint8_t> packed(
       (static_cast<std::size_t>(need_total_) + 7) / 8);
-  if (!packed.empty()) ch_->recv_bytes(packed.data(), packed.size());
+  if (!packed.empty()) ch_.recv_bytes(packed.data(), packed.size());
 
   const std::uint64_t n_in = ctx_->reusable->artifact.view.n_evaluator_inputs;
   std::vector<bool> z(static_cast<std::size_t>(need_total_));
@@ -561,11 +596,11 @@ void EvSession::re_dbits_step() {
                               .evaluator_flips[static_cast<std::size_t>(
                                   k % n_in)]);
   }
-  ch_->send_bits(z);
+  ch_.send_bits(z);
   ot_end();
   const auto t0 = Clock::now();
-  ch_->send_bits(ctx_->reusable->masked_garbler_bits);
-  ch_->flush();
+  ch_.send_bits(ctx_->reusable->masked_garbler_bits);
+  ch_.flush();
   stats_.transfer_seconds += seconds_since(t0);
   pool_->consume(claim_);
   claim_open_ = false;
@@ -573,8 +608,8 @@ void EvSession::re_dbits_step() {
 }
 
 void EvSession::finalize(Mode done_mode) {
-  stats_.bytes_sent += ch_->bytes_sent();
-  stats_.bytes_received += ch_->bytes_received();
+  stats_.bytes_sent += ch_.bytes_sent();
+  stats_.bytes_received += ch_.bytes_received();
   ++stats_.sessions_served;
   switch (done_mode) {
     case Mode::kPre:
@@ -600,7 +635,7 @@ void EvSession::finalize(Mode done_mode) {
   }
   session_seconds_ = seconds_since(t_session_);
   state_ = St::kDone;
-  ch_->flush();
+  ch_.flush();
 }
 
 }  // namespace maxel::evloop

@@ -1,31 +1,23 @@
 // The server-side session core: one EvSession per accepted connection
 // runs the handshake and whichever of the four session modes the hello
 // asks for (precomputed, stream, v3, reusable). It is the only server
-// implementation of those modes; both fronts serve through it.
+// implementation of those modes, and EvBroker is its only front.
 //
 // The machine is a set of parked states, each with a known byte need,
-// whose protocol steps run on a proto::Channel. Two drivers step it:
-//
-//   * the event loop (EvBroker): bytes arrive via on_bytes() into the
-//     session's own BufferedChannel, the machine advances only while
-//     available() covers the next step's need, and the owning
-//     connection drains the staged output with writev;
-//   * serve_blocking() (net::Server): the machine steps
-//     directly on the accepted TcpChannel or FaultyChannel, every recv
-//     blocking on the socket.
-//
-// Both drivers put identical bytes on the wire, in the same order.
+// whose protocol steps run on the session's own BufferedChannel: bytes
+// arrive via on_bytes(), the machine advances only while available()
+// covers the next step's need, and the owning connection drains the
+// staged output with writev.
 //
 // Pool-gate discipline (v3/reusable): one client's setup/extend/claim
-// wire phases are serialized across sessions — and across fronts and
-// shards — by Entry::ev_gate, an atomic
-// test-and-set. On contention an event-loop session parks and retries
-// off a timer (its shard thread must not block on a sibling session),
-// while the blocking driver waits on the atomic itself. Entry::io_mu is
-// taken only for the brief pointer mutations, so
-// V3PoolRegistry::outstanding_claims stays race-free. Every claim ends
-// in consume (success) or discard (failure or teardown), and labels are
-// single-use: a failed session's claim is burnt, never re-served.
+// wire phases are serialized across sessions and shards by
+// Entry::ev_gate, an atomic test-and-set. On contention a session parks
+// and retries off a timer (its shard thread must not block on a sibling
+// session). Entry::io_mu is taken only for the brief pointer mutations,
+// so V3PoolRegistry::outstanding_claims stays race-free. Every claim
+// ends in consume (success) or discard (failure or teardown), and
+// labels are single-use: a failed session's claim is burnt, never
+// re-served.
 #pragma once
 
 #include <chrono>
@@ -44,7 +36,6 @@
 #include "net/demo_inputs.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/v3_service.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
@@ -52,10 +43,49 @@
 
 namespace maxel::evloop {
 
+// What one session (or, merged, a whole broker) did on the server side.
+// The field names are the `server` block of `maxelctl serve`'s STATS
+// line, which tests/net_e2e.sh and tools/bench_compare.py parse.
+struct ServerStats {
+  std::uint64_t sessions_served = 0;
+  std::uint64_t rounds_served = 0;
+  std::uint64_t handshakes_rejected = 0;
+  std::uint64_t connection_errors = 0;
+  std::uint64_t idle_timeouts = 0;  // subset of connection_errors
+  std::uint64_t bytes_sent = 0;      // payload bytes, summed over sessions
+  std::uint64_t bytes_received = 0;
+  std::uint64_t sessions_precomputed = 0;
+  std::uint64_t stream_sessions_served = 0;  // subset of sessions_served
+  std::uint64_t v3_sessions_served = 0;      // subset of sessions_served
+  // Reusable-mode sessions (subset of sessions_served) and how many of
+  // them had to ship the artifact view (the rest ran off the client's
+  // hash-confirmed cache).
+  std::uint64_t reusable_sessions_served = 0;
+  std::uint64_t reusable_artifacts_sent = 0;
+  std::uint64_t reusable_garbles = 0;  // times a reusable artifact was built
+  std::uint64_t v3_fresh_pools = 0;   // v3/reusable sessions that paid a base OT
+  std::uint64_t v3_ot_extended = 0;   // correlated-OT indices materialized
+  // Most tables resident server-side for any single session: the whole
+  // session for precomputed mode, one chunk for stream mode. Merged
+  // with max, not sum — it is a high-water mark.
+  std::uint64_t peak_resident_tables = 0;
+  double handshake_seconds = 0;
+  double transfer_seconds = 0;  // garbled tables/frames/artifact + labels push
+  double ot_seconds = 0;        // OT/pool setup + per-round label OT
+  double first_table_seconds = 0;  // session start -> first tables on the wire
+  double total_seconds = 0;     // serve wall time
+
+  // Accumulates another stats block into this one (counters and timers
+  // are additive, high-water marks take the max) — how the broker folds
+  // per-session stats into one service-wide snapshot.
+  void merge(const ServerStats& other);
+
+  [[nodiscard]] std::string to_json() const;
+};
+
 // Everything a front shares across its sessions. The registry and the
-// reusable context are process-wide (shared across shards and the
-// blocking server); take_session / take_v3 source the pre-garbled
-// sessions.
+// reusable context are process-wide (shared across shards);
+// take_session / take_v3 source the pre-garbled sessions.
 struct EvServeContext {
   const circuit::Circuit* circ = nullptr;
   net::ServerExpectation expect;
@@ -74,7 +104,7 @@ struct EvServeContext {
 enum class EvError : std::uint8_t {
   kNone = 0,
   kHandshake,   // typed reject sent (counts handshakes_rejected)
-  kTimeout,     // a blocking recv/send hit the idle deadline
+  kTimeout,     // idle deadline (the broker's eviction reports this)
   kPeerClosed,  // EOF mid-session (counts peer_disconnects)
   kNet,         // transport/protocol error
   kOther,       // anything else (logic/corruption)
@@ -82,10 +112,7 @@ enum class EvError : std::uint8_t {
 
 class EvSession {
  public:
-  // Event-loop session over its own BufferedChannel.
   explicit EvSession(const EvServeContext& ctx);
-  // Blocking session over `wire`, which must outlive the session.
-  EvSession(const EvServeContext& ctx, proto::Channel& wire);
   ~EvSession();
   EvSession(const EvSession&) = delete;
   EvSession& operator=(const EvSession&) = delete;
@@ -98,13 +125,8 @@ class EvSession {
   // Retries the pool gate (call from a timer while wants_gate_retry()).
   void on_gate_retry();
 
-  // Blocking driver: runs the machine on the wire channel until done()
-  // or failed(), waiting on the pool gate when another session of the
-  // same client holds it. Errors are absorbed as in on_bytes().
-  void serve_blocking();
-
-  // The event-loop session's channel (unused by serve_blocking()).
-  [[nodiscard]] BufferedChannel& channel() { return buffered_; }
+  // The session's own channel; the front drains its staged output.
+  [[nodiscard]] BufferedChannel& channel() { return ch_; }
   [[nodiscard]] bool done() const { return state_ == St::kDone; }
   [[nodiscard]] bool failed() const { return state_ == St::kFailed; }
   [[nodiscard]] EvError error() const { return err_; }
@@ -115,7 +137,7 @@ class EvSession {
 
   // The per-session stats block (complete once done(); a failed session
   // carries its handshake time) and the serve wall time.
-  [[nodiscard]] const net::ServerStats& stats() const { return stats_; }
+  [[nodiscard]] const ServerStats& stats() const { return stats_; }
   [[nodiscard]] double session_seconds() const { return session_seconds_; }
   [[nodiscard]] const char* mode_name() const;
 
@@ -165,14 +187,12 @@ class EvSession {
   void release_gate();
   void teardown();
   // OT spans run from the machine parking on an OT reply (or starting
-  // an OT setup) until the exchange completes, so the blocking and the
-  // event-loop driver time the same interval.
+  // an OT setup) until the exchange completes.
   void ot_begin() { t_ot_ = Clock::now(); }
   void ot_end();
 
   const EvServeContext* ctx_;
-  BufferedChannel buffered_;
-  proto::Channel* ch_;  // &buffered_, or the blocking driver's wire
+  BufferedChannel ch_;
   crypto::SystemRandom rng_;  // declared before members that reference it
   net::DemoInputStream a_inputs_;
   St state_ = St::kHello;
@@ -215,7 +235,7 @@ class EvSession {
   std::uint64_t claim_start_expected_ = 0;
   std::uint64_t round_idx_ = 0;  // next pool index for v3 rounds
 
-  net::ServerStats stats_;
+  ServerStats stats_;
   double session_seconds_ = 0;
   EvError err_ = EvError::kNone;
   std::string err_text_;

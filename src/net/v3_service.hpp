@@ -1,4 +1,4 @@
-// Protocol-v3 service plumbing shared by the serving fronts, the
+// Protocol-v3 service plumbing shared by the serving front, the
 // client, and the loopback benches: the per-client OT-pool registry on
 // the garbler side, and the client's pool state and session flow. The
 // garbler's pool reconciliation and round flow run in the session core
@@ -7,8 +7,8 @@
 // Cross-session amortization contract:
 //   * The registry keys long-lived CorrelatedPoolSender instances by the
 //     client identity from the hello extension. One garbling delta spans
-//     the registry, so any spooled or inline-garbled v3 session can be
-//     served from any pool in it (checked via pool lineage).
+//     the registry, so any spooled v3 session can be served from any
+//     pool in it (checked via pool lineage).
 //   * A connection is served from the existing pool iff the client
 //     presents the ticket issued with it AND its materialized count
 //     matches the server's — anything else (first contact, lost state,
@@ -41,8 +41,8 @@
 namespace maxel::net {
 
 // Garbler-side registry of per-client correlated-OT pools. Thread-safe:
-// event-loop shards and server threads serve concurrent sessions of the
-// same client against one entry (wire phases serialized by the entry's
+// event-loop shards serve concurrent sessions of the same client
+// against one entry (wire phases serialized by the entry's
 // gate, pad reads lock-free per the pool's own contract).
 class V3PoolRegistry {
  public:
@@ -54,11 +54,10 @@ class V3PoolRegistry {
     std::mutex io_mu;
     std::shared_ptr<ot::CorrelatedPoolSender> pool;  // null before base OT
     crypto::Block cookie{};
-    // Serializes one client's setup/extend/claim wire phases on every
-    // front: a test-and-set held from the client setup to the ticket.
-    // An event-loop session that loses it retries off a timer (its
-    // shard must not block on a sibling session); the blocking driver
-    // waits on the atomic and is woken by the holder's release.
+    // Serializes one client's setup/extend/claim wire phases across
+    // shards: a test-and-set held from the client setup to the ticket.
+    // A session that loses it retries off a timer (its shard must not
+    // block on a sibling session).
     std::atomic<bool> ev_gate{false};
   };
 

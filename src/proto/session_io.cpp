@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 
@@ -30,7 +31,37 @@ std::uint64_t checked_count(std::uint64_t n, std::uint64_t cap,
   return n;
 }
 
-void put_u64(std::ostream& os, std::uint64_t v) {
+// The writers take any sink with write(const char*, std::streamsize):
+// an std::ostream for save_session, a ChunkSink for serialize_session.
+// ChunkSink gathers the many 8- and 16-byte pieces into 64 KiB chunks.
+class ChunkSink {
+ public:
+  explicit ChunkSink(const SessionBytesFn& emit)
+      : emit_(emit), buf_(new std::uint8_t[kChunk]) {}
+  void write(const char* p, std::streamsize k) {
+    const auto n = static_cast<std::size_t>(k);
+    if (used_ + n > kChunk) flush();
+    if (n > kChunk) {
+      emit_(reinterpret_cast<const std::uint8_t*>(p), n);
+      return;
+    }
+    std::memcpy(buf_.get() + used_, p, n);
+    used_ += n;
+  }
+  void flush() {
+    if (used_ > 0) emit_(buf_.get(), used_);
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const SessionBytesFn& emit_;
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t used_ = 0;
+};
+
+template <class Out>
+void put_u64(Out& os, std::uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
   os.write(buf, 8);
@@ -45,7 +76,8 @@ std::uint64_t get_u64(std::istream& is) {
   return v;
 }
 
-void put_block(std::ostream& os, const crypto::Block& b) {
+template <class Out>
+void put_block(Out& os, const crypto::Block& b) {
   std::uint8_t raw[16];
   b.to_bytes(raw);
   os.write(reinterpret_cast<const char*>(raw), 16);
@@ -58,7 +90,8 @@ crypto::Block get_block(std::istream& is) {
   return crypto::Block::from_bytes(raw);
 }
 
-void put_blocks(std::ostream& os, const std::vector<crypto::Block>& v) {
+template <class Out>
+void put_blocks(Out& os, const std::vector<crypto::Block>& v) {
   put_u64(os, v.size());
   for (const auto& b : v) put_block(os, b);
 }
@@ -72,7 +105,8 @@ std::vector<crypto::Block> get_blocks(std::istream& is) {
   return v;
 }
 
-void put_bits(std::ostream& os, const std::vector<bool>& bits) {
+template <class Out>
+void put_bits(Out& os, const std::vector<bool>& bits) {
   put_u64(os, bits.size());
   std::vector<char> packed((bits.size() + 7) / 8, 0);
   for (std::size_t i = 0; i < bits.size(); ++i)
@@ -100,9 +134,8 @@ std::vector<bool> get_bits(std::istream& is) {
   return bits;
 }
 
-}  // namespace
-
-void save_session(const PrecomputedSession& s, std::ostream& os) {
+template <class Out>
+void write_session(const PrecomputedSession& s, Out& os) {
   os.write(kMagic, sizeof(kMagic));
   const char scheme = static_cast<char>(s.scheme);
   os.write(&scheme, 1);
@@ -123,6 +156,12 @@ void save_session(const PrecomputedSession& s, std::ostream& os) {
     put_bits(os, r.output_map);
   }
   put_blocks(os, s.initial_state_labels);
+}
+
+}  // namespace
+
+void save_session(const PrecomputedSession& s, std::ostream& os) {
+  write_session(s, os);
   if (!os) throw std::runtime_error("save_session: write failure");
 }
 
@@ -181,10 +220,18 @@ PrecomputedSession load_session_file(const std::string& path) {
 }
 
 std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s) {
-  std::ostringstream os(std::ios::binary);
-  save_session(s, os);
-  const std::string bytes = os.str();
-  return {bytes.begin(), bytes.end()};
+  std::vector<std::uint8_t> bytes;
+  serialize_session(s, [&](const std::uint8_t* p, std::size_t n) {
+    bytes.insert(bytes.end(), p, p + n);
+  });
+  return bytes;
+}
+
+void serialize_session(const PrecomputedSession& s,
+                       const SessionBytesFn& emit) {
+  ChunkSink out(emit);
+  write_session(s, out);
+  out.flush();
 }
 
 PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n) {

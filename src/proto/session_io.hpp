@@ -23,7 +23,9 @@
 // store. Sessions remain single-use after reload.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -55,10 +57,14 @@ PrecomputedSession load_session(std::istream& is);
 void save_session_file(const PrecomputedSession& s, const std::string& path);
 PrecomputedSession load_session_file(const std::string& path);
 
-// Whole-session byte codec, same format as save/load_session. The spool
-// uses these to checksum a session's exact on-disk bytes and to write
-// them in one atomic rename step.
+// Whole-session byte codec, same format as save/load_session.
 std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s);
+// The same bytes, handed to `emit` in order in pieces of up to 64 KiB
+// instead of built up in one buffer: the spool checksums and writes each
+// piece as it comes.
+using SessionBytesFn = std::function<void(const std::uint8_t*, std::size_t)>;
+void serialize_session(const PrecomputedSession& s,
+                       const SessionBytesFn& emit);
 PrecomputedSession parse_session(const std::uint8_t* data, std::size_t n);
 
 }  // namespace maxel::proto

@@ -1,6 +1,6 @@
 // Command-line entry points for the spool and metrics tools, wired into
-// maxelctl next to the serve commands (the broker's `serve --spool` is
-// evloop/ev_service.hpp). argv excludes the program/subcommand name.
+// maxelctl next to the serve command (evloop/ev_service.hpp). argv
+// excludes the program/subcommand name.
 #pragma once
 
 namespace maxel::svc {

@@ -1,6 +1,9 @@
 #include "svc/session_spool.hpp"
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -281,29 +284,39 @@ void SessionSpool::write_index_locked() {
 }
 
 void SessionSpool::put(proto::PrecomputedSession s) {
-  const std::vector<std::uint8_t> bytes = proto::serialize_session(s);
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = session_file_name(next_seq_++);
+  std::string name;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    name = session_file_name(next_seq_++);
+  }
   const fs::path root(cfg_.dir);
   const fs::path tmp = root / "tmp" / name;
+  // One pass, outside the lock: each serialized piece is checksummed and
+  // written as it comes, so the session never exists as one big buffer.
+  crypto::Sha256 sha;
+  std::uint64_t size = 0;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+    proto::serialize_session(s, [&](const std::uint8_t* p, std::size_t n) {
+      sha.update(p, n);
+      os.write(reinterpret_cast<const char*>(p),
+               static_cast<std::streamsize>(n));
+      size += n;
+    });
     if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
   }
+
+  const std::lock_guard<std::mutex> lock(mu_);
   // The rename is the commit point: ready/ only ever holds complete files.
   fs::rename(tmp, root / "ready" / name);
   Entry entry;
   entry.name = name;
-  entry.bytes = bytes.size();
-  entry.sha256_hex = digest;
+  entry.bytes = size;
+  entry.sha256_hex = crypto::Sha256::hex(sha.digest());
   index_.push_back(std::move(entry));
   ++stats_.sessions_spooled;
   ++stats_.sessions_ready;
-  stats_.bytes_on_disk += bytes.size();
+  stats_.bytes_on_disk += size;
   write_index_locked();
 
   if (cache_.size() < cfg_.ram_cache_sessions)
@@ -580,6 +593,20 @@ std::size_t SessionSpool::ready_v3() const {
 SpoolStats SessionSpool::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+TempSpoolDir::TempSpoolDir() {
+  std::string tmpl =
+      (fs::temp_directory_path() / "maxel-spool-XXXXXX").string();
+  if (::mkdtemp(tmpl.data()) == nullptr)
+    throw std::system_error(errno, std::generic_category(),
+                            "mkdtemp " + tmpl);
+  path_ = tmpl;
+}
+
+TempSpoolDir::~TempSpoolDir() {
+  std::error_code ec;
+  fs::remove_all(path_, ec);
 }
 
 }  // namespace maxel::svc

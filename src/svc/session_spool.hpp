@@ -108,6 +108,24 @@ struct ReusableSpoolEntry {
 std::string reusable_artifact_key(
     const std::array<std::uint8_t, 32>& fingerprint, std::size_t bits);
 
+// A private spool directory: made by mkdtemp under the system temp
+// directory ($TMPDIR, else /tmp) with mode 0700, because spooled
+// sessions hold garbler secrets, and removed with everything in it when
+// the object dies. `maxelctl serve` without --spool, the tests and the
+// loopback benches serve from one.
+class TempSpoolDir {
+ public:
+  TempSpoolDir();  // throws std::system_error when mkdtemp fails
+  ~TempSpoolDir();
+  TempSpoolDir(const TempSpoolDir&) = delete;
+  TempSpoolDir& operator=(const TempSpoolDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 class SessionSpool {
  public:
   // Opens (creating directories as needed) and reconciles: purges

@@ -14,18 +14,21 @@
 //     sessions, and stalled peers — always by re-running a *fresh*
 //     session, never by resuming one (wire labels are single-use; the
 //     no-reuse test compares captured wire bytes across attempts);
-//   * matrix: >= 30 seeded scenarios across all three serving paths
-//     (precomputed net::Server, stream net::Server, evloop::EvBroker), each
-//     of which must terminate within a watchdog in either a bit-correct
-//     verified MAC or a typed NetError — never a hang, never a silent
-//     mismatch — with the service still serving afterwards.
+//   * matrix: ten seeded plans against an evloop::EvBroker in each of
+//     the four session modes (precomputed, stream, v3, reusable), each
+//     scenario of which must terminate within a watchdog in either a
+//     bit-correct verified MAC or a typed NetError — never a hang, never
+//     a silent mismatch — with the service still serving afterwards.
+//
+// Faults are injected on the client's link only; the broker sees them
+// as the peer behaving badly (hangups, truncated or corrupted frames,
+// silence).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,16 +44,15 @@
 #include "net/fault.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
+#include "serve_harness.hpp"
 
 namespace maxel {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -308,19 +310,13 @@ TEST(RetryBackoff, JitterIsBoundedAndSeedDeterministic) {
 constexpr std::size_t kBits = 8;
 constexpr std::size_t kRounds = 12;
 
-net::ServerConfig chaos_server_config() {
-  net::ServerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;
-  cfg.bits = kBits;
-  cfg.rounds_per_session = kRounds;
-  cfg.bank_low_watermark = 1;
-  cfg.bank_batch = 1;
-  cfg.precompute_cores = 2;
-  cfg.max_sessions = 0;  // run until request_stop()
-  cfg.accept_poll_ms = 50;
-  cfg.verbose = false;
-  cfg.idle_timeout_ms = 5'000;  // generous; scenario overrides tighten it
+// A broker on a private spool that serves until stopped, across two
+// shards, with a generous idle deadline (scenarios tighten it).
+evloop::EvBrokerConfig chaos_broker_config() {
+  evloop::EvBrokerConfig cfg = test::small_broker_config(kBits, kRounds);
+  cfg.shards = 2;
+  cfg.spool_high_watermark = 3;
+  cfg.idle_timeout_ms = 5'000;
   return cfg;
 }
 
@@ -371,32 +367,28 @@ ChaosOutcome run_chaos_client(const net::ClientConfig& cfg) {
 }
 
 TEST(ChaosRecovery, MidHandshakeCloseRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   // Send op 0 is the client hello: the very first bytes of the session
   // die on the floor, and the retry must start over from connect.
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "close@send:0"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   EXPECT_EQ(out.output, net::demo_mac_reference(7, kBits, kRounds));
-  EXPECT_EQ(server.stats().sessions_served, 1u);
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
 }
 
 TEST(ChaosRecovery, MidTransferCloseRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   // Recv op 8 lands mid-session, after OT setup has produced garbled
   // material — the attempt that dies has real tables in flight.
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "close@recv:8"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
@@ -404,45 +396,23 @@ TEST(ChaosRecovery, MidTransferCloseRetriesToSuccess) {
 }
 
 TEST(ChaosRecovery, ConnectRefusalRetriesToSuccess) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   const ChaosOutcome out =
       run_chaos_client(chaos_client_config(server.port(), "refuse@connect:0"));
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   // The refused attempt never reached the server at all.
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_EQ(server.stats().connection_errors, 0u);
-}
-
-TEST(ChaosRecovery, ServerSideCloseIsSurvivedByBothSides) {
-  net::ServerConfig scfg = chaos_server_config();
-  scfg.fault_plan = "close@send:3";  // the server's own link dies once
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
-
-  net::ClientConfig ccfg = chaos_client_config(server.port(), "");
-  const ChaosOutcome out = run_chaos_client(ccfg);
-  server.request_stop();
-  serve.join();
-
-  EXPECT_TRUE(out.verified) << out.error;
-  EXPECT_EQ(out.attempts, 2u);
-  // The aborted connection is accounted as a connection error, not a
-  // served session; the retry is the one served session.
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_GE(server.stats().connection_errors, 1u);
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
+  EXPECT_EQ(server.server_stats().connection_errors, 0u);
 }
 
 TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
-  net::ServerConfig scfg = chaos_server_config();
+  evloop::EvBrokerConfig scfg = chaos_broker_config();
   scfg.idle_timeout_ms = 250;  // evict a silent peer fast
-  net::Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   // The client goes quiet for 1.5 s mid-session — far past the server's
   // idle deadline. The server must evict it (freeing the accept loop),
@@ -450,15 +420,14 @@ TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
   net::ClientConfig ccfg =
       chaos_client_config(server.port(), "stall@send:2:1500");
   const ChaosOutcome out = run_chaos_client(ccfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_GE(out.attempts, 2u);
-  EXPECT_GE(server.stats().idle_timeouts, 1u);
-  EXPECT_GE(server.stats().connection_errors,
-            server.stats().idle_timeouts);  // idle is a subset
-  EXPECT_EQ(server.stats().sessions_served, 1u);
+  EXPECT_GE(server.server_stats().idle_timeouts, 1u);
+  EXPECT_GE(server.server_stats().connection_errors,
+            server.server_stats().idle_timeouts);  // idle is a subset
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
 }
 
 // The heart of the retry contract: a retried session shares *nothing*
@@ -466,8 +435,7 @@ TEST(ChaosRecovery, StalledClientIsEvictedAndRecovers) {
 // garbled material of attempt 2 must be freshly generated — byte-for-
 // byte different from what attempt 1 received before its link died.
 TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   auto injector = std::make_shared<net::FaultInjector>(
       net::FaultPlan::parse("close@recv:8"));
@@ -486,8 +454,7 @@ TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
   };
 
   const ChaosOutcome out = run_chaos_client(cfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
@@ -515,8 +482,7 @@ TEST(ChaosRecovery, RetryNeverReusesGarbledMaterial) {
 // base OT. The dead attempt's claim is burned (discarded), and the wire
 // bytes of the two attempts differ over their overlap.
 TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   crypto::SystemRandom id_rng(crypto::Block{91, 3});
   auto state = net::make_v3_client_state(id_rng);
@@ -551,14 +517,13 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
   };
 
   const ChaosOutcome out = run_chaos_client(cfg);
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   ASSERT_EQ(captures.size(), 2u);
 
-  const net::ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.v3_sessions_served, 2u);
   // Every attempt after session 1 resumed its pool: exactly one base OT
   // and one extension batch ever ran, dead attempt included.
@@ -569,7 +534,7 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
             static_cast<std::uint64_t>(ot::kPoolExtendBatch));
   // The dead attempt's claim was discarded, not left outstanding, and
   // the client's watermark is past two disjoint per-session ranges.
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server.outstanding_claims(), 0u);
   EXPECT_GE(state->pool.watermark(), 2u * kRounds * kBits);
   EXPECT_GE(ss.connection_errors, 1u);
 
@@ -589,8 +554,7 @@ TEST(ChaosRecovery, RetryResumesOtPoolAndNeverReusesIndices) {
 // resumes it, any half-made claim is discarded cleanly, and no second
 // base OT or extension is paid.
 TEST(ChaosRecovery, KilledResumptionRollsThePoolForward) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   crypto::SystemRandom id_rng(crypto::Block{17, 29});
   auto state = net::make_v3_client_state(id_rng);
@@ -608,27 +572,25 @@ TEST(ChaosRecovery, KilledResumptionRollsThePoolForward) {
   faulty.v3_state = state;
   const ChaosOutcome s2 = run_chaos_client(faulty);
 
-  server.request_stop();
-  serve.join();
+  server.stop();
 
   EXPECT_TRUE(s1.verified) << s1.error;
   EXPECT_EQ(s1.attempts, 1u);
   EXPECT_TRUE(s2.verified) << s2.error;
   EXPECT_EQ(s2.attempts, 2u);
 
-  const net::ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.v3_sessions_served, 2u);
   EXPECT_EQ(ss.v3_fresh_pools, 1u);  // only session 1 paid a base OT
   EXPECT_EQ(state->pool.extended(),
             static_cast<std::uint64_t>(ot::kPoolExtendBatch));
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);  // nothing stuck claimed
+  EXPECT_EQ(server.outstanding_claims(), 0u);  // nothing stuck claimed
   // Two sessions consumed; the dead attempt may have burned a range.
   EXPECT_GE(state->pool.watermark(), 2u * kRounds * kBits);
 }
 
 TEST(ChaosRecovery, NonRetryableHandshakeRejectFailsFastDespiteRetries) {
-  net::Server server(chaos_server_config());
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(chaos_broker_config());
 
   net::ClientConfig cfg = chaos_client_config(server.port(), "");
   cfg.bits = kBits * 2;  // bit-width mismatch: a config error, not luck
@@ -643,9 +605,8 @@ TEST(ChaosRecovery, NonRetryableHandshakeRejectFailsFastDespiteRetries) {
   // No backoff was burned on a failure retry cannot fix.
   EXPECT_LT(seconds_since(t0), 5.0);
 
-  server.request_stop();
-  serve.join();
-  EXPECT_EQ(server.stats().sessions_served, 0u);
+  server.stop();
+  EXPECT_EQ(server.server_stats().sessions_served, 0u);
 }
 
 TEST(ChaosRecovery, ExhaustedRetriesSurfaceTheTypedError) {
@@ -661,11 +622,12 @@ TEST(ChaosRecovery, ExhaustedRetriesSurfaceTheTypedError) {
 }
 
 // ---------------------------------------------------------------------------
-// The scenario matrix: seeded plans x all three serving paths.
+// The scenario matrix: seeded plans x the four session modes, each plan
+// against a fresh broker.
 
 // Ten pinned plans. Indices are raw-op counts (stable across runs), so
 // the schedule reproduces bit-for-bit from the string alone; together
-// with the three serving modes below this is 30 chaos scenarios.
+// with the four session modes below this is 40 chaos scenarios.
 const char* const kMatrixPlans[] = {
     "close@send:0",            // hello dies
     "close@send:2",            // OT setup dies on our side
@@ -697,8 +659,7 @@ TEST(ChaosMatrix, PrecomputedServerSurvivesEveryPlan) {
   int recovered = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=precomputed");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(chaos_broker_config());
 
     const ChaosOutcome out =
         run_chaos_client(chaos_client_config(server.port(), plan));
@@ -711,8 +672,7 @@ TEST(ChaosMatrix, PrecomputedServerSurvivesEveryPlan) {
           run_chaos_client(chaos_client_config(server.port(), ""));
       EXPECT_TRUE(clean.verified) << clean.error;
     }
-    server.request_stop();
-    serve.join();
+    server.stop();
   }
   // Most plans are transient faults: retry must actually be recovering,
   // not every scenario dying with a typed error.
@@ -724,10 +684,9 @@ TEST(ChaosMatrix, StreamServerSurvivesEveryPlan) {
   int recovered = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=stream");
-    net::ServerConfig scfg = chaos_server_config();
+    evloop::EvBrokerConfig scfg = chaos_broker_config();
     scfg.stream_chunk_rounds = 4;  // several chunks even at kRounds = 12
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(scfg);
 
     net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
     ccfg.mode = net::SessionMode::kStream;
@@ -741,24 +700,22 @@ TEST(ChaosMatrix, StreamServerSurvivesEveryPlan) {
       const ChaosOutcome clean = run_chaos_client(clean_cfg);
       EXPECT_TRUE(clean.verified) << clean.error;
     }
-    server.request_stop();
-    serve.join();
+    server.stop();
   }
   EXPECT_GE(recovered, 5);
 }
 
-// Fourth serving path: protocol v3 with the cross-session OT pool. On
-// top of the usual chaos contract, every scenario must leave the pool
-// registry with zero outstanding claims — a death anywhere in the
-// resumption setup or the rounds either rolls the pool forward or
-// discards the claim, never wedges it.
+// Protocol v3 with the cross-session OT pool. On top of the usual
+// chaos contract, every scenario must leave the pool registry with zero
+// outstanding claims — a death anywhere in the resumption setup or the
+// rounds either rolls the pool forward or discards the claim, never
+// wedges it.
 TEST(ChaosMatrix, V3ServerSurvivesEveryPlanWithNoStuckClaims) {
   const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
   int recovered = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=v3");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(chaos_broker_config());
 
     net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
     ccfg.protocol = net::kProtocolVersionV3;
@@ -772,27 +729,30 @@ TEST(ChaosMatrix, V3ServerSurvivesEveryPlanWithNoStuckClaims) {
       const ChaosOutcome clean = run_chaos_client(clean_cfg);
       EXPECT_TRUE(clean.verified) << clean.error;
     }
-    server.request_stop();
-    serve.join();
+    server.stop();
     // Checked only after the serve loop is fully down: consume runs
     // after the last flush, so polling mid-serve would race it.
-    EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+    EXPECT_EQ(server.outstanding_claims(), 0u);
   }
   EXPECT_GE(recovered, 5);
 }
 
-// Fifth serving path: the reusable garble-once lane. Same contract as
-// v3 (bounded time, bit-correct or typed error, zero stuck claims after
-// every scenario), and a fault anywhere — artifact delivery included —
-// must never burn the one shared artifact: a clean client still
-// verifies afterwards off the same garbling.
+// The reusable garble-once lane. Same contract as v3 (bounded time,
+// bit-correct or typed error, zero stuck claims after every scenario),
+// and a fault anywhere — artifact delivery, the d/z exchange,
+// mid-evaluation — must never burn the one shared artifact: the ten
+// brokers share one spool, the first garbles the artifact into it, and
+// every later one reloads it, so the whole matrix costs one garbling.
 TEST(ChaosMatrix, ReusableServerSurvivesEveryPlanWithNoStuckClaims) {
   const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
+  const svc::TempSpoolDir spool;
+  evloop::EvBrokerConfig cfg = chaos_broker_config();
+  cfg.spool_dir = spool.path();
   int recovered = 0;
+  std::uint64_t garbles = 0;
   for (const char* plan : kMatrixPlans) {
     SCOPED_TRACE(std::string("plan=") + plan + " mode=reusable");
-    net::Server server(chaos_server_config());
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(cfg);
 
     net::ClientConfig ccfg = chaos_client_config(server.port(), plan);
     ccfg.mode = net::SessionMode::kReusable;
@@ -806,11 +766,13 @@ TEST(ChaosMatrix, ReusableServerSurvivesEveryPlanWithNoStuckClaims) {
       const ChaosOutcome clean = run_chaos_client(clean_cfg);
       EXPECT_TRUE(clean.verified) << clean.error;
     }
-    server.request_stop();
-    serve.join();
-    EXPECT_EQ(server.v3_outstanding_claims(), 0u);
-    EXPECT_EQ(server.stats().reusable_garbles, 1u);  // chaos never re-garbles
+    server.stop();
+    EXPECT_EQ(server.outstanding_claims(), 0u);
+    const svc::BrokerStats st = server.stats();
+    garbles += st.server.reusable_garbles;
+    EXPECT_EQ(st.spool.reusable_ready, 1u);  // artifact survived the chaos
   }
+  EXPECT_EQ(garbles, 1u);  // chaos never re-garbles
   EXPECT_GE(recovered, 5);
 }
 
@@ -835,15 +797,8 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   ex.allow_v3 = true;
   ex.allow_reusable = true;
 
-  net::TcpOptions topt;
-  topt.recv_timeout_ms = 5'000;
   net::TcpListener lis(0, "127.0.0.1");
   net::V3PoolRegistry reg(crypto::SystemRandom().next_block());
-  std::unique_ptr<net::TcpChannel> server_ch;
-  std::thread accept([&] { server_ch = lis.accept(5'000, topt); });
-  auto client_ch = net::TcpChannel::connect("127.0.0.1", lis.port(), topt);
-  accept.join();
-
   evloop::EvServeContext sctx;
   sctx.circ = &circ;
   sctx.expect = ex;
@@ -851,14 +806,15 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
   sctx.reusable = &ctx;
   sctx.bits = kBits;
   sctx.rounds = kRounds;
-  std::thread server([&] {
-    // The session core on its blocking driver, stepped on the accepted
-    // socket. The client hangs up at the checksum; any typed death is
-    // fine — the claim-discard assertion below is what matters.
-    evloop::EvSession session(sctx, *server_ch);
-    session.serve_blocking();
-    EXPECT_TRUE(session.failed());
-  });
+  // The session core on the byte-at-a-time shuttle. The client hangs up
+  // at the checksum; any typed death is fine — the claim-discard
+  // assertion below is what matters.
+  test::ShuttleResult res;
+  std::thread server([&] { res = test::shuttle_serve_one(lis, sctx); });
+
+  net::TcpOptions topt;
+  topt.recv_timeout_ms = 5'000;
+  auto client_ch = net::TcpChannel::connect("127.0.0.1", lis.port(), topt);
 
   net::ClientHello hello;
   hello.scheme = static_cast<std::uint8_t>(ex.scheme);
@@ -881,73 +837,17 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
       net::CorruptionError);
   client_ch.reset();  // hang up; the server thread dies typed
   server.join();
+  EXPECT_TRUE(res.failed);
   EXPECT_EQ(reg.outstanding_claims(), 0u);
   // The poisoned view never entered the client's cache.
   EXPECT_FALSE(state->reusable_view.has_value());
 }
 
-class BrokerChaosTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_chaos_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
-  evloop::EvBrokerConfig chaos_broker_config() {
-    evloop::EvBrokerConfig cfg;
-    cfg.bind_addr = "127.0.0.1";
-    cfg.port = 0;
-    cfg.bits = kBits;
-    cfg.rounds_per_session = kRounds;
-    cfg.spool_dir = spool_dir_.string();
-    cfg.spool_low_watermark = 1;
-    cfg.spool_high_watermark = 3;
-    cfg.shards = 2;
-    cfg.verbose = false;
-    cfg.idle_timeout_ms = 5'000;
-    return cfg;
-  }
-
-  fs::path spool_dir_;
-};
-
-TEST_F(BrokerChaosTest, BrokerSurvivesEveryPlan) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=broker");
-    evloop::EvBroker broker(chaos_broker_config());
-    std::thread run([&] { broker.run(); });
-
-    const ChaosOutcome out =
-        run_chaos_client(chaos_client_config(broker.port(), plan));
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      const ChaosOutcome clean =
-          run_chaos_client(chaos_client_config(broker.port(), ""));
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    broker.request_stop();
-    run.join();
-  }
-  EXPECT_GE(recovered, 5);
-}
-
 // A client that hangs up mid-session: the broker accounts the dropped
 // session as a peer disconnect, the client's retry verifies on a fresh
 // session, and the broker keeps serving.
-TEST_F(BrokerChaosTest, BrokerSideFaultIsMeteredAndSurvived) {
-  evloop::EvBroker broker(chaos_broker_config());
-  std::thread run([&] { broker.run(); });
+TEST(BrokerChaosTest, BrokerSideFaultIsMeteredAndSurvived) {
+  test::TestBroker broker(chaos_broker_config());
 
   // Recv op 6 is session material: the first attempt dies with garbled
   // tables in flight, so the broker sees the hangup mid-session.
@@ -955,53 +855,18 @@ TEST_F(BrokerChaosTest, BrokerSideFaultIsMeteredAndSurvived) {
       run_chaos_client(chaos_client_config(broker.port(), "close@recv:6"));
   const ChaosOutcome clean =
       run_chaos_client(chaos_client_config(broker.port(), ""));
-  broker.request_stop();
-  run.join();
+  broker.stop();
 
   EXPECT_TRUE(out.verified) << out.error;
   EXPECT_EQ(out.attempts, 2u);
   EXPECT_TRUE(clean.verified) << clean.error;
   EXPECT_EQ(clean.attempts, 1u);
-  EXPECT_EQ(broker.metrics().counter("peer_disconnects").value(), 1);
-  EXPECT_EQ(broker.metrics().counter("connection_errors").value(), 1);
+  svc::MetricsRegistry& m = broker.broker().metrics();
+  EXPECT_EQ(m.counter("peer_disconnects").value(), 1);
+  EXPECT_EQ(m.counter("connection_errors").value(), 1);
   const svc::BrokerStats st = broker.stats();
   EXPECT_EQ(st.server.connection_errors, 1u);
   EXPECT_EQ(st.server.sessions_served, 2u);
-}
-
-// Reusable sessions through the chaos matrix against the broker: a kill
-// anywhere — artifact delivery, the d/z exchange, mid-evaluation — must
-// end typed-or-verified, leave zero stuck claims, and never cost the
-// spool its artifact: one garbling per broker, no matter what the link
-// does.
-TEST_F(BrokerChaosTest, ReusableBrokerSurvivesEveryPlanOffOneGarbling) {
-  const std::uint64_t expected = net::demo_mac_reference(7, kBits, kRounds);
-  int recovered = 0;
-  for (const char* plan : kMatrixPlans) {
-    SCOPED_TRACE(std::string("plan=") + plan + " mode=broker-reusable");
-    evloop::EvBroker broker(chaos_broker_config());
-    std::thread run([&] { broker.run(); });
-
-    net::ClientConfig ccfg = chaos_client_config(broker.port(), plan);
-    ccfg.mode = net::SessionMode::kReusable;
-    const ChaosOutcome out = run_chaos_client(ccfg);
-    check_outcome(out, expected);
-    if (out.verified && out.attempts >= 2) ++recovered;
-
-    if (out.threw) {
-      net::ClientConfig clean_cfg = chaos_client_config(broker.port(), "");
-      clean_cfg.mode = net::SessionMode::kReusable;
-      const ChaosOutcome clean = run_chaos_client(clean_cfg);
-      EXPECT_TRUE(clean.verified) << clean.error;
-    }
-    broker.request_stop();
-    run.join();
-    EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
-    const svc::BrokerStats st = broker.stats();
-    EXPECT_LE(st.server.reusable_garbles, 1u);
-    EXPECT_EQ(st.spool.reusable_ready, 1u);  // artifact survived the chaos
-  }
-  EXPECT_GE(recovered, 5);
 }
 
 }  // namespace

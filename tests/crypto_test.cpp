@@ -3,6 +3,8 @@
 // quality of the ring-oscillator RNG model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -249,6 +251,29 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 b;
   for (char c : msg) b.update(std::string(1, c));
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(Sha256, MillionAs) {
+  const std::string msg(1000000, 'a');
+  Sha256 h;
+  h.update(msg);
+  EXPECT_EQ(Sha256::hex(h.digest()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, ShaNiCompressionMatchesPortable) {
+  if (!detail::sha256_shani_supported())
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  std::mt19937_64 gen(7);
+  std::vector<std::uint8_t> msg(64 * 40);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(gen());
+  for (std::size_t blocks : {1u, 2u, 3u, 17u, 40u}) {
+    std::uint32_t a[8], b[8];
+    for (int i = 0; i < 8; ++i) a[i] = b[i] = static_cast<std::uint32_t>(gen());
+    detail::sha256_compress_portable(a, msg.data(), blocks);
+    detail::sha256_compress_shani(b, msg.data(), blocks);
+    EXPECT_TRUE(std::equal(a, a + 8, b)) << blocks << " blocks";
+  }
 }
 
 

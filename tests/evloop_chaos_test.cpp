@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +19,11 @@
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/v3_service.hpp"
+#include "svc/session_spool.hpp"
 
 namespace maxel::evloop {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kBits = 8;
@@ -81,25 +80,13 @@ void check_outcome(const Outcome& out, std::uint64_t expected_mac) {
 
 class EvBrokerChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_evchaos_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
   EvBrokerConfig chaos_config() {
     EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = kBits;
     cfg.rounds_per_session = kRounds;
-    cfg.spool_dir = spool_dir_.string();
+    cfg.spool_dir = spool_.path();
     cfg.shards = 2;
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 4;
@@ -169,7 +156,7 @@ class EvBrokerChaosTest : public ::testing::Test {
     EXPECT_GE(recovered, 3);
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 TEST_F(EvBrokerChaosTest, PrecomputedSurvivesEveryPlan) {

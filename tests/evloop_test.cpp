@@ -1,16 +1,16 @@
 // Event-loop serving tier tests.
 //
 //   * state machine: every session mode (precomputed, stream, v3,
-//     reusable) driven through an EvSession fed ONE BYTE AT A TIME by a
-//     shuttle server — the harshest readiness schedule an event loop
-//     can deliver — against the real net::run_client, every MAC checked
-//     against the plaintext reference;
+//     reusable) driven through an EvSession fed ONE BYTE AT A TIME by
+//     the shuttle server (serve_harness.hpp) against the real
+//     net::run_client, every MAC checked against the plaintext
+//     reference;
 //   * pool gate: a second v3 session through the shuttle resumes the
 //     first one's OT pool and leaves zero outstanding claims;
 //   * EvBroker: all four modes over loopback TCP against the sharded
-//     front, with the blocking server's stats/metrics semantics;
+//     front, with its stats and metrics;
 //   * idle eviction: a silent peer is evicted by the timer wheel and
-//     counted exactly like a blocking session's TimeoutError path;
+//     counted as an idle timeout and a connection error;
 //   * lifecycle: a zero-watermark spool serves on demand and still
 //     drains promptly; a connect after drain is refused at once;
 //   * SpareFd: the EMFILE reserve releases and reacquires;
@@ -18,16 +18,11 @@
 //     single-threaded client sweep, zero failures, zero stuck claims.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,81 +43,20 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/precompute.hpp"
+#include "serve_harness.hpp"
+#include "svc/session_spool.hpp"
 
 namespace maxel::evloop {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// ---------------------------------------------------------------------------
-// Shuttle: a minimal single-connection server that owns an EvSession and
-// feeds it one byte at a time, draining its output after every byte.
-
-struct ShuttleResult {
-  bool done = false;
-  bool failed = false;
-  std::string mode;
-  std::string err;
-  net::ServerStats stats;
-};
-
-bool shuttle_drain(int fd, BufferedChannel& ch) {
-  while (ch.has_output()) {
-    struct iovec iov[16];
-    const std::size_t n = ch.gather(iov, 16);
-    if (n == 0) break;
-    const ssize_t w = ::writev(fd, iov, static_cast<int>(n));
-    if (w <= 0) return false;
-    ch.mark_written(static_cast<std::size_t>(w));
-  }
-  return true;
-}
-
-ShuttleResult shuttle_serve_one(net::TcpListener& lst,
-                                const EvServeContext& ctx) {
-  ShuttleResult res;
-  const int cfd = ::accept(lst.fd(), nullptr, nullptr);
-  if (cfd < 0) {
-    res.err = "accept failed";
-    return res;
-  }
-  EvSession s(ctx);
-  std::uint8_t buf[4096];
-  while (!s.done() && !s.failed()) {
-    const ssize_t n = ::recv(cfd, buf, sizeof buf, 0);
-    if (n < 0) break;
-    if (n == 0) {
-      s.on_peer_eof();
-      break;
-    }
-    for (ssize_t i = 0; i < n && !s.done() && !s.failed(); ++i) {
-      s.on_bytes(buf + i, 1);
-      if (!shuttle_drain(cfd, s.channel())) break;
-      // A lost pool gate would park here; a lone session wins at once.
-      while (s.wants_gate_retry()) {
-        s.on_gate_retry();
-        if (!shuttle_drain(cfd, s.channel())) break;
-      }
-    }
-  }
-  shuttle_drain(cfd, s.channel());
-  ::shutdown(cfd, SHUT_WR);
-  // Linger for the client's EOF so the final frames aren't reset away.
-  char tmp[256];
-  while (::recv(cfd, tmp, sizeof tmp, 0) > 0) {}
-  ::close(cfd);
-  res.done = s.done();
-  res.failed = s.failed();
-  res.mode = s.mode_name();
-  res.err = s.error_text();
-  if (s.done()) res.stats = s.stats();
-  return res;
-}
+using test::shuttle_serve_one;
+using test::ShuttleResult;
 
 // Standalone EvServeContext (no broker, no spool): sessions are garbled
 // on demand by the take callbacks, exactly what the machine consumes.
@@ -316,27 +250,14 @@ TEST(SpareFd, ReleasesAndReacquires) {
 
 class EvBrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_evloop_test_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
   EvBrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
     EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
-    cfg.spool_dir = spool_dir_.string();
+    cfg.spool_dir = spool_.path();
     cfg.verbose = false;
-    cfg.tcp.recv_timeout_ms = 10'000;
     return cfg;
   }
 
@@ -351,12 +272,12 @@ class EvBrokerTest : public ::testing::Test {
     return ccfg;
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // All four modes through the sharded front, every MAC bit-identical to
-// the plaintext reference, stats/metrics matching the blocking server's
-// semantics, and no OT-pool claim left outstanding.
+// the plaintext reference, stats and metrics accounting for each, and
+// no OT-pool claim left outstanding.
 TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   const std::size_t bits = 8, rounds = 6;
   EvBrokerConfig cfg = quiet_config(bits, rounds);
@@ -418,8 +339,8 @@ TEST_F(EvBrokerTest, ServesAllFourModesAcrossShards) {
   EXPECT_NE(m.to_json().find("ev_open_fds"), std::string::npos);
 }
 
-// A silent peer is evicted by the timer wheel with a blocking session's
-// idle_timeouts + connection_errors accounting.
+// A silent peer is evicted by the timer wheel and accounted as one
+// idle timeout and one connection error.
 TEST_F(EvBrokerTest, IdlePeerEvictedByTimerWheel) {
   EvBrokerConfig cfg = quiet_config(8, 4);
   cfg.shards = 1;
@@ -427,7 +348,7 @@ TEST_F(EvBrokerTest, IdlePeerEvictedByTimerWheel) {
   EvBroker broker(cfg);
   std::thread run([&] { broker.run(); });
 
-  auto idle = net::TcpChannel::connect("127.0.0.1", broker.port(), cfg.tcp);
+  auto idle = net::TcpChannel::connect("127.0.0.1", broker.port());
   const auto t0 = Clock::now();
   while (broker.metrics().counter("idle_timeouts").value() < 1 &&
          std::chrono::duration<double>(Clock::now() - t0).count() < 10.0)
@@ -511,6 +432,59 @@ TEST_F(EvBrokerTest, ZeroWatermarkSpoolServesOnDemandAndStops) {
   EXPECT_EQ(st.spool.sessions_claimed, 1u);
   EXPECT_EQ(st.spool.v3_claimed, 1u);
   EXPECT_EQ(broker.v3_outstanding_claims(), 0u);
+}
+
+// The producer garbles at most one session per pool core per pass, yet a
+// lane that fell below the low watermark is still stocked all the way
+// to the high one.
+TEST_F(EvBrokerTest, OneCoreProducerStocksBothLanesToTheHighWatermark) {
+  EvBrokerConfig cfg = quiet_config(8, 4);
+  cfg.shards = 1;
+  cfg.precompute_cores = 1;
+  cfg.spool_low_watermark = 2;
+  cfg.spool_high_watermark = 5;
+  EvBroker broker(cfg);
+  std::thread run([&] { broker.run(); });
+  const auto t0 = Clock::now();
+  svc::SpoolStats sp = broker.stats().spool;
+  while ((sp.sessions_ready < 5 || sp.sessions_ready_v3 < 5) &&
+         seconds_since(t0) < 30.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    sp = broker.stats().spool;
+  }
+  // Let a stray extra pass show up before checking the ceiling.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  sp = broker.stats().spool;
+  broker.request_stop();
+  run.join();
+  EXPECT_EQ(sp.sessions_ready, 5u);
+  EXPECT_EQ(sp.sessions_ready_v3, 5u);
+}
+
+// A take parked on one lane is served before the other lane's stock:
+// the first v3 client after startup does not wait for the whole v2 fill.
+TEST_F(EvBrokerTest, WaitingLaneIsServedBeforeTheOtherLanesStock) {
+  const std::size_t bits = 16, rounds = 32, stock = 64;
+  EvBrokerConfig cfg = quiet_config(bits, rounds);
+  cfg.shards = 1;
+  cfg.precompute_cores = 1;
+  cfg.spool_low_watermark = stock;
+  cfg.spool_high_watermark = stock;
+  EvBroker broker(cfg);
+  std::thread run([&] { broker.run(); });
+
+  net::ClientConfig v3 = quiet_client(broker.port(), bits);
+  crypto::SystemRandom id_rng;
+  v3.protocol = net::kProtocolVersionV3;
+  v3.v3_state = net::make_v3_client_state(id_rng);
+  const net::ClientStats cs = net::run_client(v3);
+  const svc::SpoolStats sp = broker.stats().spool;
+  broker.request_stop();
+  run.join();
+  EXPECT_TRUE(cs.verified);
+  EXPECT_EQ(sp.v3_claimed, 1u);
+  // Stocking v2 first would have put all `stock` v2 sessions ahead of it.
+  EXPECT_LT(sp.sessions_ready, stock);
 }
 
 // A drained broker has closed its listeners: a late connect is refused

@@ -3,19 +3,22 @@
 # maxel_server on an ephemeral port, runs maxel_client against it for
 # >= 100 MAC rounds over TCP, then cross-checks the two JSON stats dumps
 # (client must verify its decoded MAC; the payload byte counters must
-# match exactly in both directions).
+# match exactly in both directions). Without --spool the server keeps
+# its sessions in a private 0700 spool under $TMPDIR, which must be gone
+# once it exits cleanly.
 #
 # Inputs (environment): SERVER and CLIENT point at the built binaries.
-# MODE selects the delivery path: "precomputed" (default) serves from
-# the garbling bank; "stream" passes --mode stream to the client and checks
-# the chunked garble-while-transfer pipeline; "reusable" runs two
+# MODE selects the delivery path: "precomputed" (default) serves
+# pre-garbled sessions off the spool; "stream" passes --mode stream to
+# the client and checks the chunked garble-while-transfer pipeline; "reusable" runs two
 # client processes against one garble-once server and proves a single
 # garbling fed both sessions; "chaos" replays a matrix of
 # MAXEL_FAULT_PLAN schedules against the stock binaries — in both the
 # classic and reusable session modes — every run must end, under a hard
 # watchdog, in a VERIFIED MAC or a typed maxel_client error (see
 # docs/TESTING.md); "broker" runs `maxelctl serve --spool` (CTL points
-# at maxelctl) for one precomputed and one v3 client. Run by CTest as
+# at maxelctl) for one precomputed and one v3 client, and checks that
+# bad flags exit 2. Run by CTest as
 # the `net_e2e` / `net_e2e_stream` / `net_e2e_reusable` /
 # `net_e2e_chaos` / `net_e2e_broker` tests.
 set -euo pipefail
@@ -34,13 +37,14 @@ case "$MODE" in
 esac
 
 dir=$(mktemp -d)
+mkdir "$dir/tmp"
 spid=""
 trap '[ -n "$spid" ] && kill "$spid" 2>/dev/null; rm -rf "$dir"' EXIT
 
 server_cmd=("$SERVER")
 start_server() {  # start_server <extra server args...>
-  "${server_cmd[@]}" --port 0 --bits 8 "$@" --json "$dir/server.json" \
-            >"$dir/server.log" 2>&1 &
+  TMPDIR="$dir/tmp" "${server_cmd[@]}" --port 0 --bits 8 "$@" \
+            --json "$dir/server.json" >"$dir/server.log" 2>&1 &
   spid=$!
   # The server prints its bound (ephemeral) port on startup.
   port=""
@@ -53,6 +57,19 @@ start_server() {  # start_server <extra server args...>
   [ -n "$port" ] || { echo "server never reported its port:"; cat "$dir/server.log"; exit 1; }
 }
 
+# After a clean exit of a server run without --spool: the private spool
+# it named on startup was a 0700 directory under $TMPDIR, and is gone.
+check_private_spool() {
+  local spool
+  spool=$(sed -n 's/.* spool \([^ ]*\) .*/\1/p' "$dir/server.log" | head -1)
+  case "$spool" in
+    "$dir"/tmp/maxel-spool-*) ;;
+    *) echo "server did not name a private spool under \$TMPDIR: '$spool'"; cat "$dir/server.log"; exit 1 ;;
+  esac
+  [ -z "$(ls -A "$dir/tmp")" ] \
+    || { echo "private spool left behind after a clean exit:"; ls -lR "$dir/tmp"; exit 1; }
+}
+
 field() { sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p" "$1"; }
 
 if [ "$MODE" = chaos ]; then
@@ -60,6 +77,9 @@ if [ "$MODE" = chaos ]; then
   # fault schedules reach the unmodified client purely through the
   # MAXEL_FAULT_PLAN environment knob.
   start_server --rounds 24 --sessions 0 --idle-timeout 2000 --quiet
+  spool=$(sed -n 's/.* spool \([^ ]*\) .*/\1/p' "$dir/server.log" | head -1)
+  [ -d "$spool" ] && [ "$(stat -c %a "$spool")" = 700 ] \
+    || { echo "private spool '$spool' is not a 0700 directory"; exit 1; }
 
   plans=(
     "close@send:0"
@@ -124,6 +144,7 @@ if [ "$MODE" = chaos ]; then
   kill -TERM "$spid"
   wait "$spid" || { echo "server exited non-zero after chaos run:"; cat "$dir/server.log"; exit 1; }
   spid=""
+  check_private_spool
   served=$(field "$dir/server.json" sessions_served)
   errors=$(field "$dir/server.json" connection_errors)
   r_served=$(field "$dir/server.json" reusable_sessions_served)
@@ -177,14 +198,22 @@ if [ "$MODE" = broker ]; then
   [ "$s_in" = "$c_out" ] \
     || { echo "byte mismatch: clients sent $c_out, broker received $s_in"; exit 1; }
 
-  # The retired worker pool's flags are usage errors now.
-  rc=0
-  timeout 10 "$CTL" serve --spool "$dir/spool" --port 0 --workers 4 \
-         >"$dir/workers.log" 2>&1 || rc=$?
-  [ "$rc" = 2 ] \
-    || { echo "serve --spool --workers 4 exited $rc (want 2):"; cat "$dir/workers.log"; exit 1; }
+  # Usage errors exit 2 before anything is served: the retired worker
+  # pool's and server-side fault injection's flags, and numeric flags
+  # that are out of range or not plain decimal integers.
+  usage_error() {  # usage_error <command...>
+    local rc=0
+    timeout 10 "$@" >"$dir/usage.log" 2>&1 || rc=$?
+    [ "$rc" = 2 ] \
+      || { echo "'$*' exited $rc (want 2):"; cat "$dir/usage.log"; exit 1; }
+  }
+  usage_error "$CTL" serve --spool "$dir/spool" --port 0 --workers 4
+  usage_error "$SERVER" --port 0 --fault-plan "close@send:3"
+  usage_error "$SERVER" --port 70000
+  usage_error "$CTL" serve --spool "$dir/spool" --port 0 --rounds 2x
+  usage_error "$CLIENT" --port 70000
   echo "net_e2e[broker]: 2 sessions (precomputed + v3), $c_in B down /" \
-       "$c_out B up, counters match; --workers rejected"
+       "$c_out B up, counters match; bad flags rejected"
   exit 0
 fi
 
@@ -205,6 +234,7 @@ if [ "$MODE" = reusable ]; then
 
   wait "$spid"  # exits 0 once its two sessions are served
   spid=""
+  check_private_spool
 
   r_served=$(field "$dir/server.json" reusable_sessions_served)
   r_sent=$(field "$dir/server.json" reusable_artifacts_sent)
@@ -243,6 +273,7 @@ grep -q VERIFIED "$dir/client.log" \
 
 wait "$spid"  # exits 0 once its one session is served
 spid=""
+check_private_spool
 
 s_out=$(field "$dir/server.json" bytes_sent)
 s_in=$(field "$dir/server.json" bytes_received)

@@ -1,6 +1,6 @@
 // Network subsystem tests: TcpChannel loopback transport, frame-layer
 // fuzzing (every malformed stream must surface as a typed net error,
-// never a hang), handshake rejection, and the full server/client
+// never a hang), handshake rejection, and the full broker/client
 // session over 127.0.0.1 — whose decoded MAC must match the in-process
 // ThreadedChannel protocol path bit for bit.
 #include <gtest/gtest.h>
@@ -24,11 +24,11 @@
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/handshake.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/protocol.hpp"
 #include "proto/threaded_channel.hpp"
+#include "serve_harness.hpp"
 
 namespace maxel::net {
 namespace {
@@ -378,19 +378,14 @@ TEST(Handshake, FingerprintIgnoresNameButNotStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Full service: server + client threads over 127.0.0.1.
+// Full service: a broker (serve_harness.hpp) and client threads over
+// 127.0.0.1.
 
-ServerConfig quiet_server_config(std::size_t bits, std::size_t rounds) {
-  ServerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;  // ephemeral
-  cfg.bits = bits;
-  cfg.rounds_per_session = rounds;
-  cfg.bank_low_watermark = 1;
-  cfg.bank_batch = 1;
-  cfg.precompute_cores = 2;
+// One shard on a private temporary spool, stopping after one session.
+evloop::EvBrokerConfig quiet_broker_config(std::size_t bits,
+                                           std::size_t rounds) {
+  evloop::EvBrokerConfig cfg = test::small_broker_config(bits, rounds);
   cfg.max_sessions = 1;
-  cfg.verbose = false;
   return cfg;
 }
 
@@ -447,13 +442,12 @@ std::uint64_t in_process_reference(std::size_t bits, std::size_t rounds,
 
 TEST(NetService, EndToEndMatchesInProcessPathBitForBit) {
   const std::size_t bits = 8, rounds = 120;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
+  test::TestBroker server(scfg);
 
   ClientConfig ccfg = quiet_client_config(server.port(), bits);
   const ClientStats cs = run_client(ccfg);
-  serve.join();
+  server.wait();
 
   // The decoded MAC over TCP equals the in-process ThreadedChannel
   // protocol run on identical inputs, and both equal the plaintext fold.
@@ -466,7 +460,7 @@ TEST(NetService, EndToEndMatchesInProcessPathBitForBit) {
   EXPECT_EQ(cs.rounds, rounds);
 
   // Payload byte accounting agrees exactly across the wire.
-  const ServerStats& ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.sessions_served, 1u);
   EXPECT_EQ(ss.rounds_served, rounds);
   EXPECT_EQ(cs.bytes_received, ss.bytes_sent);
@@ -477,24 +471,22 @@ TEST(NetService, EndToEndMatchesInProcessPathBitForBit) {
 
 TEST(NetService, BaseOtSession) {
   const std::size_t bits = 8, rounds = 20;
-  Server server(quiet_server_config(bits, rounds));
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(quiet_broker_config(bits, rounds));
 
   ClientConfig ccfg = quiet_client_config(server.port(), bits);
   ccfg.ot = OtChoice::kBase;
   const ClientStats cs = run_client(ccfg);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(cs.verified);
   EXPECT_EQ(cs.output_value, demo_mac_reference(ccfg.demo_seed, bits, rounds));
-  EXPECT_EQ(cs.bytes_received, server.stats().bytes_sent);
-  EXPECT_EQ(cs.bytes_sent, server.stats().bytes_received);
+  EXPECT_EQ(cs.bytes_received, server.server_stats().bytes_sent);
+  EXPECT_EQ(cs.bytes_sent, server.server_stats().bytes_received);
 }
 
 TEST(NetService, MismatchedClientRejectedAndServerSurvives) {
   const std::size_t bits = 16, rounds = 12;
-  Server server(quiet_server_config(bits, rounds));
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(quiet_broker_config(bits, rounds));
 
   // Wrong bit width: typed rejection, not a hang or stream corruption.
   ClientConfig bad = quiet_client_config(server.port(), 8);
@@ -507,11 +499,11 @@ TEST(NetService, MismatchedClientRejectedAndServerSurvives) {
 
   // The server shrugs it off and serves the next, well-formed client.
   const ClientStats cs = run_client(quiet_client_config(server.port(), bits));
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(cs.verified);
-  EXPECT_EQ(server.stats().handshakes_rejected, 1u);
-  EXPECT_EQ(server.stats().sessions_served, 1u);
+  EXPECT_EQ(server.server_stats().handshakes_rejected, 1u);
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,11 +511,10 @@ TEST(NetService, MismatchedClientRejectedAndServerSurvives) {
 
 TEST(NetService, StreamSessionMatchesPrecomputedBitForBit) {
   const std::size_t bits = 8, rounds = 120;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.max_sessions = 2;
   scfg.stream_chunk_rounds = 16;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   ClientConfig pre = quiet_client_config(server.port(), bits);
   const ClientStats ps = run_client(pre);
@@ -531,7 +522,7 @@ TEST(NetService, StreamSessionMatchesPrecomputedBitForBit) {
   ClientConfig str = quiet_client_config(server.port(), bits);
   str.mode = SessionMode::kStream;
   const ClientStats ss = run_client(str);
-  serve.join();
+  server.wait();
 
   // Identical demo seed, identical decoded MAC: delivery mode must not
   // change a single output bit.
@@ -545,7 +536,7 @@ TEST(NetService, StreamSessionMatchesPrecomputedBitForBit) {
   EXPECT_EQ(ss.chunks_received, (rounds + 15) / 16);
   EXPECT_GT(ss.first_table_seconds, 0.0);
 
-  const ServerStats& st = server.stats();
+  const evloop::ServerStats st = server.server_stats();
   EXPECT_EQ(st.sessions_served, 2u);
   EXPECT_EQ(st.stream_sessions_served, 1u);
   EXPECT_EQ(st.rounds_served, 2 * rounds);
@@ -557,27 +548,25 @@ TEST(NetService, StreamSessionMatchesPrecomputedBitForBit) {
 
 TEST(NetService, StreamSessionWithBaseOt) {
   const std::size_t bits = 8, rounds = 20;
-  Server server(quiet_server_config(bits, rounds));
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(quiet_broker_config(bits, rounds));
 
   ClientConfig cfg = quiet_client_config(server.port(), bits);
   cfg.mode = SessionMode::kStream;
   cfg.ot = OtChoice::kBase;
   const ClientStats cs = run_client(cfg);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(cs.verified);
   EXPECT_EQ(cs.output_value, demo_mac_reference(cfg.demo_seed, bits, rounds));
-  EXPECT_EQ(cs.bytes_received, server.stats().bytes_sent);
-  EXPECT_EQ(cs.bytes_sent, server.stats().bytes_received);
+  EXPECT_EQ(cs.bytes_received, server.server_stats().bytes_sent);
+  EXPECT_EQ(cs.bytes_sent, server.server_stats().bytes_received);
 }
 
 TEST(NetService, StreamRefusedByNoStreamServerWhichSurvives) {
   const std::size_t bits = 8, rounds = 12;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.allow_stream = false;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   ClientConfig str = quiet_client_config(server.port(), bits);
   str.mode = SessionMode::kStream;
@@ -591,12 +580,12 @@ TEST(NetService, StreamRefusedByNoStreamServerWhichSurvives) {
   // The refusal is per-connection: a precomputed client still gets
   // served and the server exits cleanly.
   const ClientStats cs = run_client(quiet_client_config(server.port(), bits));
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(cs.verified);
-  EXPECT_EQ(server.stats().handshakes_rejected, 1u);
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_EQ(server.stats().stream_sessions_served, 0u);
+  EXPECT_EQ(server.server_stats().handshakes_rejected, 1u);
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
+  EXPECT_EQ(server.server_stats().stream_sessions_served, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,16 +610,15 @@ TEST(NetService, RandomizedSessionsMatchPlaintextReference) {
                  " demo_seed=" + std::to_string(seed) +
                  (stream ? " mode=stream" : " mode=precomputed"));
 
-    ServerConfig scfg = quiet_server_config(bits, rounds);
+    evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
     scfg.demo_seed = seed;
-    Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(scfg);
 
     ClientConfig ccfg = quiet_client_config(server.port(), bits);
     ccfg.demo_seed = seed;
     if (stream) ccfg.mode = SessionMode::kStream;
     const ClientStats cs = run_client(ccfg);
-    serve.join();
+    server.wait();
 
     // Three-way agreement: TCP session == in-process protocol run ==
     // plaintext fixed-point MAC fold, for this randomized shape.
@@ -678,23 +666,23 @@ TEST(TcpChannel, SenderUnblocksWhenPeerStopsDraining) {
 }
 
 TEST(NetService, SilentClientIsEvictedAndServerKeepsServing) {
-  ServerConfig cfg = quiet_server_config(8, 8);
+  evloop::EvBrokerConfig cfg = quiet_broker_config(8, 8);
   cfg.idle_timeout_ms = 200;
-  Server server(cfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(cfg);
 
-  // Connect and never send the hello: the sequential server must evict
-  // this connection at the idle deadline instead of pinning on it...
+  // Connect and never send the hello: the broker serves the
+  // well-behaved client meanwhile, and its drain after that one session
+  // evicts the silent connection at the idle deadline instead of
+  // pinning on it.
   const int fd = raw_connect(server.port());
-  // ...and then serve the well-behaved client queued behind it.
   const ClientStats cs = run_client(quiet_client_config(server.port(), 8));
-  serve.join();
+  server.wait();
   ::close(fd);
 
   EXPECT_TRUE(cs.verified);
-  EXPECT_EQ(server.stats().sessions_served, 1u);
-  EXPECT_EQ(server.stats().idle_timeouts, 1u);
-  EXPECT_GE(server.stats().connection_errors, 1u);
+  EXPECT_EQ(server.server_stats().sessions_served, 1u);
+  EXPECT_EQ(server.server_stats().idle_timeouts, 1u);
+  EXPECT_GE(server.server_stats().connection_errors, 1u);
 }
 
 TEST(NetService, UnresponsiveServerYieldsTimeoutNotHang) {
@@ -711,30 +699,6 @@ TEST(NetService, UnresponsiveServerYieldsTimeoutNotHang) {
           .count();
   EXPECT_LT(elapsed, 5.0);
   acceptor.join();
-}
-
-// Shutdown-latency regression: the accept loop polls with
-// cfg.accept_poll_ms rather than blocking in accept(2), so
-// request_stop() on an idle server must take effect within roughly one
-// poll period — not hang until the next client happens to connect.
-TEST(NetService, IdleServeStopsWithinAcceptPollPeriod) {
-  ServerConfig cfg = quiet_server_config(8, 4);
-  cfg.max_sessions = 0;     // run until stopped
-  cfg.accept_poll_ms = 50;  // tight poll so the bound below is meaningful
-  Server server(cfg);
-  std::thread serve([&] { server.serve(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  server.request_stop();
-  serve.join();
-  const double stop_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  // One poll period plus generous CI slack; a blocking accept would sit
-  // here forever with no connection to wake it.
-  EXPECT_LT(stop_seconds, 2.0);
-  EXPECT_EQ(server.stats().sessions_served, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -791,10 +755,9 @@ TEST(HandshakeV3, V3HelloRejectedByV2OnlyServer) {
 
 TEST(NetV3, SessionMatchesV2BitForBitAndSlimsTheWire) {
   const std::size_t bits = 16, rounds = 16;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.max_sessions = 2;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   ClientConfig v2 = quiet_client_config(server.port(), bits);
   const ClientStats s2 = run_client(v2);
@@ -802,7 +765,7 @@ TEST(NetV3, SessionMatchesV2BitForBitAndSlimsTheWire) {
   ClientConfig v3 = quiet_client_config(server.port(), bits);
   v3.protocol = kProtocolVersionV3;
   const ClientStats s3 = run_client(v3);
-  serve.join();
+  server.wait();
 
   // Same demo seed: the slim wire format must not change one output bit.
   EXPECT_TRUE(s2.verified);
@@ -821,21 +784,20 @@ TEST(NetV3, SessionMatchesV2BitForBitAndSlimsTheWire) {
   EXPECT_LT(v3_body, (v2_total * 65) / 100)
       << "v3 body " << v3_body << " vs v2 total " << v2_total;
 
-  const ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.sessions_served, 2u);
   EXPECT_EQ(ss.v3_sessions_served, 1u);
   EXPECT_EQ(ss.v3_fresh_pools, 1u);
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server.outstanding_claims(), 0u);
   EXPECT_EQ(s3.bytes_received, ss.bytes_sent - s2.bytes_received);
   EXPECT_EQ(s3.bytes_sent, ss.bytes_received - s2.bytes_sent);
 }
 
 TEST(NetV3, ResumptionSkipsBaseOtAndShrinksSetup) {
   const std::size_t bits = 8, rounds = 16;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.max_sessions = 3;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   // One client state shared across three separate run_client calls: the
   // base OT and the pool extension are paid once, then amortized.
@@ -848,7 +810,7 @@ TEST(NetV3, ResumptionSkipsBaseOtAndShrinksSetup) {
   const ClientStats s1 = run_client(cfg);
   const ClientStats s2 = run_client(cfg);
   const ClientStats s3 = run_client(cfg);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(s1.verified);
   EXPECT_TRUE(s2.verified);
@@ -864,35 +826,34 @@ TEST(NetV3, ResumptionSkipsBaseOtAndShrinksSetup) {
       << "resumed setup " << s2.setup_bytes << " vs fresh " << s1.setup_bytes;
   EXPECT_LE(s3.setup_bytes * 10, s1.setup_bytes);
 
-  const ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.v3_sessions_served, 3u);
   EXPECT_EQ(ss.v3_fresh_pools, 1u);  // one base OT for all three sessions
   // One extension batch covered all three sessions' OT needs.
   EXPECT_EQ(ss.v3_ot_extended, static_cast<std::uint64_t>(ot::kPoolExtendBatch));
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server.outstanding_claims(), 0u);
   // Client consumed exactly 3 sessions' worth of pool indices.
   EXPECT_EQ(state->pool.watermark(), 3u * rounds * bits);
 }
 
 TEST(NetV3, FallsBackToV2AgainstV2OnlyServer) {
   const std::size_t bits = 8, rounds = 12;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.allow_v3 = false;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   // A v3-preferring client against a v2-only server: the rejected v3
   // hello turns into a transparent redial, not an error.
   ClientConfig cfg = quiet_client_config(server.port(), bits);
   cfg.protocol = kProtocolVersionV3;
   const ClientStats cs = run_client(cfg);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(cs.verified);
   EXPECT_EQ(cs.output_value, demo_mac_reference(cfg.demo_seed, bits, rounds));
   EXPECT_EQ(cs.protocol_used, kProtocolVersion);
   EXPECT_FALSE(cs.pool_resumed);
-  const ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.handshakes_rejected, 1u);  // the v3 attempt
   EXPECT_EQ(ss.sessions_served, 1u);
   EXPECT_EQ(ss.v3_sessions_served, 0u);

@@ -1,8 +1,8 @@
 // Reusable-mode end-to-end: one garbling serves many TCP sessions with
 // bit-identical outputs across the reusable, precomputed, and plaintext
 // reference paths; the handshake rejects the mode with typed verdicts
-// wherever it cannot be served; broker tests below drive the spool lane
-// and artifact-survival-across-restart contract.
+// wherever it cannot be served; the tests at the end drive the spool
+// lane and the artifact-survival-across-restart contract.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,9 +20,9 @@
 #include "net/error.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
+#include "serve_harness.hpp"
 #include "svc/session_spool.hpp"
 
 namespace maxel::net {
@@ -38,17 +38,11 @@ TcpOptions fast_opts() {
   return o;
 }
 
-ServerConfig quiet_server_config(std::size_t bits, std::size_t rounds) {
-  ServerConfig cfg;
-  cfg.bind_addr = "127.0.0.1";
-  cfg.port = 0;
-  cfg.bits = bits;
-  cfg.rounds_per_session = rounds;
-  cfg.bank_low_watermark = 1;
-  cfg.bank_batch = 1;
-  cfg.precompute_cores = 2;
+// One shard on a private temporary spool, stopping after one session.
+evloop::EvBrokerConfig quiet_broker_config(std::size_t bits,
+                                           std::size_t rounds) {
+  evloop::EvBrokerConfig cfg = test::small_broker_config(bits, rounds);
   cfg.max_sessions = 1;
-  cfg.verbose = false;
   return cfg;
 }
 
@@ -65,10 +59,9 @@ ClientConfig quiet_client_config(std::uint16_t port, std::size_t bits) {
 // the server must garble exactly once for all reusable sessions.
 TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   const std::size_t bits = 16, rounds = 16;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.max_sessions = 4;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   ClientConfig pre = quiet_client_config(server.port(), bits);
   const ClientStats sp = run_client(pre);
@@ -83,7 +76,7 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   const ClientStats r1 = run_client(reu);
   const ClientStats r2 = run_client(reu);
   const ClientStats r3 = run_client(reu);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(sp.verified);
   EXPECT_TRUE(r1.verified);
@@ -103,13 +96,13 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
   EXPECT_LE(r2.setup_bytes * 10, r1.setup_bytes);
   EXPECT_TRUE(state->reusable_view.has_value());
 
-  const ServerStats ss = server.stats();
+  const evloop::ServerStats ss = server.server_stats();
   EXPECT_EQ(ss.sessions_served, 4u);
   EXPECT_EQ(ss.reusable_sessions_served, 3u);
   EXPECT_EQ(ss.reusable_artifacts_sent, 1u);
-  EXPECT_EQ(ss.reusable_garbles, 1u);  // garbled once, at construction
+  EXPECT_EQ(ss.reusable_garbles, 1u);  // garbled once, into the spool
   EXPECT_EQ(ss.v3_fresh_pools, 1u);
-  EXPECT_EQ(server.v3_outstanding_claims(), 0u);
+  EXPECT_EQ(server.outstanding_claims(), 0u);
 }
 
 // Once the artifact and pool are warm, a reusable session moves far
@@ -117,10 +110,9 @@ TEST(ReusableNet, SessionsMatchPrecomputedAndReferenceBitForBit) {
 // whole session is d/z bit vectors plus masked garbler bits.
 TEST(ReusableNet, WarmSessionsSlimTheWireUnderV3) {
   const std::size_t bits = 16, rounds = 32;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.max_sessions = 4;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   crypto::SystemRandom id_rng(Block{0xBEEF, 2});
   ClientConfig v3 = quiet_client_config(server.port(), bits);
@@ -134,7 +126,7 @@ TEST(ReusableNet, WarmSessionsSlimTheWireUnderV3) {
   reu.v3_state = make_v3_client_state(id_rng);
   (void)run_client(reu);                    // warm pool + artifact
   const ClientStats reu_warm = run_client(reu);
-  serve.join();
+  server.wait();
 
   EXPECT_TRUE(v3_warm.verified);
   EXPECT_TRUE(reu_warm.verified);
@@ -286,11 +278,10 @@ TEST(ReusableHandshake, UnknownModeByteStillRejected) {
 
 TEST(ReusableNet, DisabledModeServerRejectsRunClient) {
   const std::size_t bits = 8, rounds = 8;
-  ServerConfig scfg = quiet_server_config(bits, rounds);
+  evloop::EvBrokerConfig scfg = quiet_broker_config(bits, rounds);
   scfg.allow_reusable = false;
   scfg.max_sessions = 1;
-  Server server(scfg);
-  std::thread serve([&] { server.serve(); });
+  test::TestBroker server(scfg);
 
   ClientConfig reu = quiet_client_config(server.port(), bits);
   reu.mode = SessionMode::kReusable;
@@ -301,8 +292,7 @@ TEST(ReusableNet, DisabledModeServerRejectsRunClient) {
     code = e.code();
   }
   EXPECT_EQ(code, RejectCode::kBadMode);
-  server.request_stop();
-  serve.join();
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -313,18 +303,6 @@ namespace fs = std::filesystem;
 
 class ReusableBrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_reusable_broker_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
   evloop::EvBrokerConfig broker_config(std::size_t bits, std::size_t rounds,
                                        std::uint64_t max_sessions) {
     evloop::EvBrokerConfig cfg;
@@ -333,12 +311,11 @@ class ReusableBrokerTest : public ::testing::Test {
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
     cfg.shards = 2;
-    cfg.spool_dir = spool_dir_.string();
+    cfg.spool_dir = spool_.path();
     cfg.spool_low_watermark = 1;
     cfg.spool_high_watermark = 1;
     cfg.max_sessions = max_sessions;
     cfg.verbose = false;
-    cfg.tcp.recv_timeout_ms = 10'000;
     return cfg;
   }
 
@@ -358,13 +335,14 @@ class ReusableBrokerTest : public ::testing::Test {
 
   // The one reus-*.mxr artifact file in ready/, or an empty path.
   fs::path artifact_file() const {
-    for (const auto& e : fs::directory_iterator(spool_dir_ / "ready"))
+    const fs::path ready = fs::path(spool_.path()) / "ready";
+    for (const auto& e : fs::directory_iterator(ready))
       if (e.path().filename().string().rfind("reus-", 0) == 0)
         return e.path();
     return {};
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // The subsystem's acceptance bar: >=1000 MAC evaluations over TCP
@@ -433,7 +411,7 @@ TEST_F(ReusableBrokerTest, ArtifactSurvivesBrokerRestart) {
   // Both processes' sessions accumulate on the persisted counter.
   EXPECT_EQ(bs2.spool.reusable_evaluations, 2 * rounds);
 
-  svc::SessionSpool spool(svc::SpoolConfig{spool_dir_.string(), 0, true});
+  svc::SessionSpool spool(svc::SpoolConfig{spool_.path(), 0, true});
   const auto entries = spool.reusable_entries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].evaluations, 2 * rounds);

@@ -1,11 +1,10 @@
 // Broker integration tests: N parallel clients against one EvBroker
 // served from a disk spool, with every decoded MAC checked against the
-// plaintext reference and the sequential net::Server path; spool
+// plaintext reference and a lone session on a one-shard broker; spool
 // inventory across broker restarts; stream, v3 and mixed traffic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,41 +14,29 @@
 #include "net/client.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
-#include "net/server.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "ot/pool.hpp"
+#include "serve_harness.hpp"
+#include "svc/session_spool.hpp"
 
 namespace maxel::svc {
 namespace {
 
-namespace fs = std::filesystem;
 using evloop::EvBroker;
 using evloop::EvBrokerConfig;
 
 class BrokerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    spool_dir_ = fs::temp_directory_path() /
-                 ("maxel_broker_test_" +
-                  std::to_string(
-                      ::testing::UnitTest::GetInstance()->random_seed()) +
-                  "_" + ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name());
-    fs::remove_all(spool_dir_);
-  }
-  void TearDown() override { fs::remove_all(spool_dir_); }
-
   EvBrokerConfig quiet_config(std::size_t bits, std::size_t rounds) {
     EvBrokerConfig cfg;
     cfg.bind_addr = "127.0.0.1";
     cfg.port = 0;
     cfg.bits = bits;
     cfg.rounds_per_session = rounds;
-    cfg.spool_dir = spool_dir_.string();
+    cfg.spool_dir = spool_.path();
     cfg.verbose = false;
-    cfg.tcp.recv_timeout_ms = 5'000;
+    cfg.idle_timeout_ms = 5'000;
     return cfg;
   }
 
@@ -64,32 +51,25 @@ class BrokerTest : public ::testing::Test {
     return ccfg;
   }
 
-  fs::path spool_dir_;
+  svc::TempSpoolDir spool_;
 };
 
 // The acceptance bar of this subsystem: >=4 concurrent loopback clients
-// served from the disk spool, every decoded MAC bit-identical to the
-// sequential single-connection server on the same demo inputs, and no
+// served from the disk spool, every decoded MAC bit-identical to a lone
+// session on a one-shard broker with the same demo inputs, and no
 // session double-served (claims == sessions == clients).
 TEST_F(BrokerTest, ConcurrentClientsMatchSequentialPathNoDoubleServe) {
   const std::size_t bits = 8, rounds = 6, clients = 6;
 
-  // Sequential reference first: one session through net::Server.
+  // Sequential reference first: one session, alone on its broker.
   std::uint64_t sequential_mac = 0;
   {
-    net::ServerConfig scfg;
-    scfg.bind_addr = "127.0.0.1";
-    scfg.port = 0;
-    scfg.bits = bits;
-    scfg.rounds_per_session = rounds;
+    EvBrokerConfig scfg = test::small_broker_config(bits, rounds);
     scfg.max_sessions = 1;
-    scfg.accept_poll_ms = 50;
-    scfg.verbose = false;
-    net::Server server(scfg);
-    std::thread serve([&] { server.serve(); });
+    test::TestBroker server(scfg);
     const net::ClientStats cs =
         net::run_client(quiet_client(server.port(), bits));
-    serve.join();
+    server.wait();
     ASSERT_TRUE(cs.verified);
     sequential_mac = cs.output_value;
   }

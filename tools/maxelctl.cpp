@@ -17,22 +17,20 @@
 //   maxelctl serve / maxelctl connect
 //       The network service (garbler server / evaluator client); same
 //       flags as the standalone maxel_server / maxel_client binaries —
-//       see src/net/service.hpp and docs/PROTOCOL.md. `serve` is either
-//       the sequential server (default) or, with --spool DIR, the
-//       sharded session broker serving off a disk spool ([--shards N]
-//       — see src/evloop/ev_service.hpp and docs/OPERATIONS.md); both
-//       serve every connection through the same session core and take
-//       the session-mode selector
-//       --mode {precomputed|stream|v3|reusable} (the client side of
-//       `connect` takes the same flag to pick what it asks for; it is
-//       the only mode switch). `reusable` trades garbler privacy for
-//       garble-once throughput — see docs/SECURITY_MODELS.md. `connect`
-//       retries failed sessions from scratch with
-//       --retries/--retry-backoff; the sequential server and the client
-//       take --fault-plan SPEC (or the MAXEL_FAULT_PLAN env var) to
-//       inject a deterministic schedule of link faults for chaos
-//       testing, and `serve` bounds stalled clients with
-//       --idle-timeout MS — see src/net/fault.hpp and docs/TESTING.md.
+//       see src/evloop/ev_service.hpp, src/net/service.hpp and
+//       docs/PROTOCOL.md. `serve` runs the sharded session broker off a
+//       disk spool (--spool DIR, else a private temporary one;
+//       [--shards N] — see docs/OPERATIONS.md) and takes the
+//       session-mode selector --mode {precomputed|stream|v3|reusable}
+//       (the client side of `connect` takes the same flag to pick what
+//       it asks for; it is the only mode switch). `reusable` trades
+//       garbler privacy for garble-once throughput — see
+//       docs/SECURITY_MODELS.md. `connect` retries failed sessions from
+//       scratch with --retries/--retry-backoff and takes --fault-plan
+//       SPEC (or the MAXEL_FAULT_PLAN env var) to inject a
+//       deterministic schedule of link faults for chaos testing; `serve`
+//       bounds stalled clients with --idle-timeout MS — see
+//       src/net/fault.hpp and docs/TESTING.md.
 //   maxelctl spool --dir DIR [--fill K --bits N --rounds M]
 //       Inspect or pre-fill a disk session spool; lists resident
 //       reusable artifacts (key, size, evaluations served, lineage).
@@ -82,8 +80,8 @@ int usage() {
                "usage: maxelctl "
                "<circuit|stats|simulate|bank|bench-mac|serve|connect|spool> "
                "[options]\n"
-               "  serve: sequential server (default), or the sharded session "
-               "broker (--spool DIR [--shards N]);\n"
+               "  serve: the sharded session broker ([--spool DIR] "
+               "[--shards N]);\n"
                "  session modes via --mode "
                "{precomputed|stream|v3|reusable} on serve and connect\n"
                "  spool purge --lane reusable --dir DIR retires cached "
@@ -301,13 +299,9 @@ bool has_flag(int argc, char** argv, const char* flag) {
 
 int main(int argc, char** argv) {
   // The network/service subcommands own their flag parsing (shared with
-  // the standalone maxel_server / maxel_client binaries). `serve` routes
-  // to the session broker when --spool appears.
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    if (has_flag(argc - 2, argv + 2, "--spool"))
-      return maxel::evloop::broker_command(argc - 2, argv + 2);
-    return maxel::net::serve_command(argc - 2, argv + 2);
-  }
+  // the standalone maxel_server / maxel_client binaries).
+  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
+    return maxel::evloop::broker_command(argc - 2, argv + 2);
   if (argc >= 2 && std::strcmp(argv[1], "connect") == 0)
     return maxel::net::connect_command(argc - 2, argv + 2);
   if (argc >= 2 && std::strcmp(argv[1], "spool") == 0)
