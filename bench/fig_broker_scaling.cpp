@@ -21,7 +21,9 @@
 // timer wheel, pool-gate serialization — not garbled-table crypto,
 // which the other benches already cover. Every tier requires zero
 // failed sessions; the JSON rows carry sessions/s, p50/p99 latency,
-// peak in-flight, peak open fds and peak RSS for the baseline gate.
+// peak in-flight, peak open fds and peak RSS for the baseline gate, and
+// the failed attempts by cause (connect, send, reset before the
+// verdict, busy, rejected, timeout), retried or not.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -128,6 +130,14 @@ int main() {
                 r.res.peak_open_fds,
                 static_cast<double>(r.res.peak_rss_kb) / 1024.0, r.res.failed,
                 verified ? "" : "  FAILED");
+    const evloop::LoadgenResult& lr = r.res;
+    if (lr.connect_errors + lr.send_errors + lr.resets + lr.busy +
+            lr.rejected + lr.timeouts >
+        0)
+      std::printf("%16s attempts lost: connect %zu, send %zu, reset %zu, "
+                  "busy %zu, rejected %zu, timeout %zu (%zu retried)\n",
+                  "", lr.connect_errors, lr.send_errors, lr.resets, lr.busy,
+                  lr.rejected, lr.timeouts, lr.retries);
     rep.row()
         .str("point", t.point)
         .num("sessions", static_cast<std::uint64_t>(t.sessions))
@@ -141,6 +151,12 @@ int main() {
         .num("p99_ms", r.res.p99_ms)
         .num("failed", static_cast<std::uint64_t>(r.res.failed))
         .num("retries", static_cast<std::uint64_t>(r.res.retries))
+        .num("connect_errors", static_cast<std::uint64_t>(r.res.connect_errors))
+        .num("send_errors", static_cast<std::uint64_t>(r.res.send_errors))
+        .num("resets", static_cast<std::uint64_t>(r.res.resets))
+        .num("busy", static_cast<std::uint64_t>(r.res.busy))
+        .num("rejected", static_cast<std::uint64_t>(r.res.rejected))
+        .num("timeouts", static_cast<std::uint64_t>(r.res.timeouts))
         .num("peak_inflight", static_cast<std::uint64_t>(r.res.peak_inflight))
         .num("peak_open_fds", static_cast<std::uint64_t>(r.res.peak_open_fds))
         .num("peak_rss_kb", r.res.peak_rss_kb)

@@ -29,6 +29,7 @@ std::string BrokerStats::to_json() const {
       "{\"role\":\"broker\",\"admission_rejects\":%llu,"
       "\"spool\":{\"ready\":%zu,\"spooled\":%llu,\"claimed\":%llu,"
       "\"cache_hits\":%llu,\"cache_misses\":%llu,\"purged_on_open\":%llu,"
+      "\"corrupt_discarded\":%llu,"
       "\"bytes_on_disk\":%llu,\"ready_v3\":%zu,\"v3_spooled\":%llu,"
       "\"v3_claimed\":%llu,\"v3_lineage_discarded\":%llu,"
       "\"reusable_ready\":%zu,\"reusable_spooled\":%llu,"
@@ -41,6 +42,7 @@ std::string BrokerStats::to_json() const {
       static_cast<unsigned long long>(spool.cache_hits),
       static_cast<unsigned long long>(spool.cache_misses),
       static_cast<unsigned long long>(spool.purged_on_open),
+      static_cast<unsigned long long>(spool.corrupt_discarded),
       static_cast<unsigned long long>(spool.bytes_on_disk),
       spool.sessions_ready_v3,
       static_cast<unsigned long long>(spool.v3_spooled),
@@ -173,6 +175,7 @@ struct EvBroker::EvConn {
   std::uint64_t gate_timer = 0;  // pool-gate retry handle
   bool want_write = false;
   bool write_dead = false;  // peer reset our sends; output undeliverable
+  bool lingering = false;   // served and half-closed; awaiting the peer's EOF
 };
 
 struct EvBroker::Shard {
@@ -512,6 +515,18 @@ void EvBroker::on_io(Shard& sh, EvConn* c, bool r, bool w, bool err) {
   g_ready_depth_->set(
       static_cast<std::int64_t>(sh.loop.last_batch_size()));
   (void)w;  // service_conn drains output regardless of which edge woke us
+  if (c->lingering) {
+    // Whatever the peer still sends is discarded; its EOF (or an error)
+    // ends the wait.
+    std::uint8_t buf[4096];
+    ssize_t n;
+    while ((n = ::recv(c->fd, buf, sizeof(buf), 0)) > 0 ||
+           (n < 0 && errno == EINTR)) {
+    }
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+      finish_conn(sh, c, false);
+    return;
+  }
   if (r || err) {
     for (;;) {
       std::uint8_t buf[64 * 1024];
@@ -583,8 +598,21 @@ void EvBroker::service_conn(Shard& sh, EvConn* c) {
     return;
   }
   if ((c->session.done() || c->session.failed()) &&
-      !c->session.channel().has_output())
-    finish_conn(sh, c, false);
+      !c->session.channel().has_output()) {
+    if (!c->session.done()) {
+      finish_conn(sh, c, false);
+      return;
+    }
+    // Lingering close: the session is served, so record it now, then
+    // half-close and keep the socket until the client's EOF (the idle
+    // timer bounds the wait). A socket closed at once answers any late
+    // client byte with a reset, and the reset destroys whatever of the
+    // reply the client has not read yet: a served session lost.
+    record_result(sh, *c, false);
+    c->lingering = true;
+    ::shutdown(c->fd, SHUT_WR);
+    on_io(sh, c, true, false, false);  // the EOF may already be queued
+  }
 }
 
 void EvBroker::arm_idle(Shard& sh, EvConn* c) {
@@ -612,7 +640,7 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
     sh.loop.cancel_timer(c->gate_timer);
     c->gate_timer = 0;
   }
-  record_result(sh, *c, evicted_idle);
+  if (!c->lingering) record_result(sh, *c, evicted_idle);
   const int fd = c->fd;
   sh.loop.remove_fd(fd);
   sh.loop.defer_close(fd);

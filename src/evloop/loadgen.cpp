@@ -7,7 +7,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -172,7 +174,8 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
   std::unordered_map<int, Conn> conns;
   std::size_t launched = 0;
   std::size_t next_identity = 0;
-  std::vector<std::size_t> retry_queue;  // identity indices to redo
+  // Sessions to redo: (identity, attempts made so far).
+  std::vector<std::pair<std::size_t, int>> retry_queue;
 
   struct sockaddr_in addr {};
   addr.sin_family = AF_INET;
@@ -184,21 +187,31 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  auto finish = [&](int fd, bool ok, bool retryable, int attempts,
+  // Books an attempt: `cause` is the result counter of a failed one
+  // (nullptr when the verdict was ok). A retryable failure is redone,
+  // the way net::Client redoes what net_error_is_retryable accepts,
+  // until the session has used max_retries.
+  auto book = [&](std::size_t* cause, bool retryable, int attempts,
+                  std::size_t identity, std::uint64_t start_ms) {
+    if (cause == nullptr) {
+      ++res.ok;
+      lat_ms.push_back(static_cast<double>(EvLoop::now_ms() - start_ms));
+      return;
+    }
+    ++*cause;
+    if (retryable && attempts < cfg.max_retries) {
+      ++res.retries;
+      retry_queue.emplace_back(identity, attempts + 1);
+    } else {
+      ++res.failed;
+    }
+  };
+  auto finish = [&](int fd, std::size_t* cause, bool retryable, int attempts,
                     std::size_t identity, std::uint64_t start_ms) {
     poller.remove(fd);
     ::close(fd);
     conns.erase(fd);
-    if (ok) {
-      ++res.ok;
-      lat_ms.push_back(
-          static_cast<double>(EvLoop::now_ms() - start_ms));
-    } else if (retryable && attempts < cfg.max_retries) {
-      ++res.retries;
-      retry_queue.push_back(identity);
-    } else {
-      ++res.failed;
-    }
+    book(cause, retryable, attempts, identity, start_ms);
   };
 
   auto start_conn = [&](std::size_t identity, int attempts) -> bool {
@@ -236,16 +249,15 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
       std::size_t identity;
       int attempts = 0;
       if (!retry_queue.empty()) {
-        identity = retry_queue.back();
+        std::tie(identity, attempts) = retry_queue.back();
         retry_queue.pop_back();
-        attempts = 1;  // conservatively count the retry against the cap
       } else {
         identity = next_identity;
         next_identity = (next_identity + 1) % ids_.size();
         ++launched;
       }
       if (!start_conn(identity, attempts)) {
-        ++res.failed;
+        book(&res.connect_errors, /*retryable=*/true, attempts, identity, 0);
         continue;
       }
       ++sessions_open_total;
@@ -266,8 +278,8 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
         socklen_t len = sizeof(soerr);
         ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
         if (soerr != 0) {
-          finish(c.fd, false, /*retryable=*/true, c.attempts, c.identity,
-                 c.start_ms);
+          finish(c.fd, &res.connect_errors, /*retryable=*/true, c.attempts,
+                 c.identity, c.start_ms);
           continue;
         }
         c.connected = true;
@@ -285,7 +297,8 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
           }
           if (w < 0 && errno == EINTR) continue;
           if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          finish(c.fd, false, true, c.attempts, c.identity, c.start_ms);
+          finish(c.fd, &res.send_errors, true, c.attempts, c.identity,
+                 c.start_ms);
           closed = true;
           break;
         }
@@ -309,15 +322,19 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
           if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
           // EOF (or reset): the session is over. The verdict is the
           // first reply frame's status word: [u32 len][u32 status ...].
-          std::uint32_t status = 0xffffffffu;
+          // A close or reset before a clean EOF is a transport failure,
+          // retryable like any other; of the typed verdicts only the
+          // load-state codes are.
+          std::uint32_t status = 0;
           if (c.head.size() >= 8) std::memcpy(&status, c.head.data() + 4, 4);
-          const bool ok = n == 0 && status == 0;
-          const bool retryable =
-              status == static_cast<std::uint32_t>(
-                            net::RejectCode::kServerBusy) ||
-              status == static_cast<std::uint32_t>(
-                            net::RejectCode::kShuttingDown);
-          finish(c.fd, ok, retryable, c.attempts, c.identity, c.start_ms);
+          const auto code = static_cast<net::RejectCode>(status);
+          const bool lost = c.head.size() < 8 || (status == 0 && n != 0);
+          std::size_t* cause = lost                            ? &res.resets
+                               : net::reject_is_retryable(code) ? &res.busy
+                               : status != 0 ? &res.rejected
+                                             : nullptr;
+          finish(c.fd, cause, lost || net::reject_is_retryable(code),
+                 c.attempts, c.identity, c.start_ms);
           break;
         }
       }
@@ -335,7 +352,7 @@ LoadgenResult ReusableLoadgen::run(const LoadgenConfig& cfg) {
           expired.push_back(kv.first);
       for (int fd : expired) {
         const Conn& c = conns.at(fd);
-        finish(fd, false, false, c.attempts, c.identity, c.start_ms);
+        finish(fd, &res.timeouts, false, c.attempts, c.identity, c.start_ms);
       }
     }
   }

@@ -44,6 +44,14 @@ struct LoadgenResult {
   std::size_t ok = 0;
   std::size_t failed = 0;
   std::size_t retries = 0;  // reconnects after a retryable verdict/refusal
+  // Attempts that ended without an ok verdict, by cause (each counts
+  // once, whether it was retried or ended the session):
+  std::size_t connect_errors = 0;  // connect() refused, sync or SO_ERROR
+  std::size_t send_errors = 0;     // the blob could not be written
+  std::size_t resets = 0;          // closed or reset before the verdict
+  std::size_t busy = 0;            // retryable verdict (busy / draining)
+  std::size_t rejected = 0;        // any other non-zero verdict
+  std::size_t timeouts = 0;        // no completion within io_timeout_ms
   double wall_seconds = 0;
   double p50_ms = 0;
   double p99_ms = 0;

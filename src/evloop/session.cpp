@@ -438,28 +438,14 @@ void EvSession::pool_gate_step() {
   gate_held_ = true;
   if (mode_ == Mode::kV3) {
     const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
-    reconcile_pool(cs.extended);
-    proto::V3ServerSetup ss;
-    ss.fresh = fresh_pool_;
-    ss.pool_id = pool_->pool_id();
-    ss.cookie = cookie_;
-    ss.start_index = claim_start_expected_;
-    ss.claim_count = need_total_;
-    ss.extend_count = extend_count_;
-    proto::send_server_setup(ch_, ss);
+    proto::send_server_setup(ch_, reconcile_pool(cs.extended));
   } else {
     const proto::ReusableClientSetup cs =
         proto::recv_reusable_client_setup(ch_);
-    reconcile_pool(cs.extended);
+    proto::ReusableServerSetup ss;
+    static_cast<proto::V3ServerSetup&>(ss) = reconcile_pool(cs.extended);
     artifact_sent_ =
         !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
-    proto::ReusableServerSetup ss;
-    ss.fresh = fresh_pool_;
-    ss.pool_id = pool_->pool_id();
-    ss.cookie = cookie_;
-    ss.start_index = claim_start_expected_;
-    ss.claim_count = need_total_;
-    ss.extend_count = extend_count_;
     ss.artifact_bytes =
         artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
     ss.artifact_sha = ctx_->reusable->view_sha;
@@ -468,7 +454,8 @@ void EvSession::pool_gate_step() {
   enter_pool_setup();
 }
 
-void EvSession::reconcile_pool(std::uint64_t client_extended) {
+proto::V3ServerSetup EvSession::reconcile_pool(
+    std::uint64_t client_extended) {
   {
     // ev_gate serializes the wire phases; io_mu still guards the entry's
     // pointer fields against concurrent registry snapshots. Resume only
@@ -505,6 +492,9 @@ void EvSession::reconcile_pool(std::uint64_t client_extended) {
   // Claims on this pool only happen under the gate, so the next claim
   // starts exactly at the total ever claimed.
   claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
+  return proto::V3ServerSetup{fresh_pool_, pool_->pool_id(), cookie_,
+                              claim_start_expected_, need_total_,
+                              extend_count_};
 }
 
 void EvSession::enter_pool_setup() {

@@ -176,7 +176,8 @@ class EvSession {
   void begin_pre_round();
   void start_stream_chunk();
   void pool_gate_step();   // kV3Gate / kReGate action once the gate is won
-  void reconcile_pool(std::uint64_t client_extended);
+  // Resumes or restarts the client's pool; returns the verdict to send.
+  proto::V3ServerSetup reconcile_pool(std::uint64_t client_extended);
   void enter_pool_setup();
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate
   void v3_send_round_frame();

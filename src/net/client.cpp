@@ -85,6 +85,45 @@ std::unique_ptr<proto::Channel> make_channel(
   return base;
 }
 
+// The hello every attempt opens with; `mode` is the session mode asked for.
+ClientHello make_hello(const ClientConfig& cfg, const circuit::Circuit& circ,
+                       SessionMode mode) {
+  ClientHello hello;
+  hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
+  hello.ot = static_cast<std::uint8_t>(cfg.ot);
+  hello.mode = static_cast<std::uint8_t>(mode);
+  hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
+  hello.rounds = cfg.rounds_hint;
+  hello.circuit_hash = circuit_fingerprint(circ);
+  return hello;
+}
+
+// The v3 hello extension: this client's identity and resumption ticket.
+HelloExtV3 make_hello_ext(const V3ClientState& st) {
+  HelloExtV3 ext;
+  ext.client_id = st.client_id;
+  ext.has_ticket = st.ticket.has_value();
+  if (st.ticket) ext.ticket = *st.ticket;
+  return ext;
+}
+
+// The epilogue every attempt shares: the decoded output, its check
+// against the plaintext reference, the byte counts and the wall time.
+void finish_stats(const ClientConfig& cfg, const proto::Channel& ch,
+                  const std::vector<bool>& decoded, Clock::time_point t_total,
+                  ClientStats& stats) {
+  stats.output_value = circuit::from_bits(decoded);
+  if (cfg.check) {
+    stats.checked = true;
+    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
+                                                              cfg.bits,
+                                                              stats.rounds);
+  }
+  stats.bytes_sent = ch.bytes_sent();
+  stats.bytes_received = ch.bytes_received();
+  stats.total_seconds = seconds_since(t_total);
+}
+
 // One protocol-v3 session attempt: slim wire format, input labels from
 // the cross-session OT pool in `st`. Throws HandshakeError with
 // kVersionMismatch when the server only speaks v2 (the caller falls
@@ -104,20 +143,10 @@ ClientStats run_v3_attempt(const ClientConfig& cfg,
   stats.protocol_used = kProtocolVersionV3;
   {
     const auto t0 = Clock::now();
-    ClientHello hello;
-    hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
-    hello.ot = static_cast<std::uint8_t>(cfg.ot);
-    hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
-    hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
-    HelloExtV3 ext;
-    ext.client_id = st.client_id;
-    if (st.ticket) {
-      ext.has_ticket = true;
-      ext.ticket = *st.ticket;
-    }
     try {
-      stats.rounds = client_handshake_v3(*ch, hello, ext);
+      stats.rounds = client_handshake_v3(
+          *ch, make_hello(cfg, circ, SessionMode::kPrecomputed),
+          make_hello_ext(st));
       st.handshake_close_streak = 0;
     } catch (const HandshakeError&) {
       st.handshake_close_streak = 0;  // a typed reject is a verdict too
@@ -156,16 +185,7 @@ ClientStats run_v3_attempt(const ClientConfig& cfg,
 
   stats.setup_bytes = out.setup_bytes;
   stats.pool_resumed = !out.fresh_pool;
-  stats.output_value = circuit::from_bits(out.decoded);
-  if (cfg.check) {
-    stats.checked = true;
-    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
-                                                              cfg.bits,
-                                                              stats.rounds);
-  }
-  stats.bytes_sent = ch->bytes_sent();
-  stats.bytes_received = ch->bytes_received();
-  stats.total_seconds = seconds_since(t_total);
+  finish_stats(cfg, *ch, out.decoded, t_total, stats);
 
   if (cfg.verbose)
     std::fprintf(stderr,
@@ -198,20 +218,8 @@ ClientStats run_reusable_attempt(const ClientConfig& cfg,
   stats.protocol_used = kProtocolVersionV3;
   {
     const auto t0 = Clock::now();
-    ClientHello hello;
-    hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
-    hello.ot = static_cast<std::uint8_t>(cfg.ot);
-    hello.mode = static_cast<std::uint8_t>(SessionMode::kReusable);
-    hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
-    hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
-    HelloExtV3 ext;
-    ext.client_id = st.client_id;
-    if (st.ticket) {
-      ext.has_ticket = true;
-      ext.ticket = *st.ticket;
-    }
-    stats.rounds = client_handshake_v3(*ch, hello, ext);
+    stats.rounds = client_handshake_v3(
+        *ch, make_hello(cfg, circ, SessionMode::kReusable), make_hello_ext(st));
     stats.handshake_seconds = seconds_since(t0);
   }
 
@@ -228,16 +236,7 @@ ClientStats run_reusable_attempt(const ClientConfig& cfg,
 
   stats.setup_bytes = out.setup_bytes;
   stats.pool_resumed = !out.fresh_pool;
-  stats.output_value = circuit::from_bits(out.decoded);
-  if (cfg.check) {
-    stats.checked = true;
-    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
-                                                              cfg.bits,
-                                                              stats.rounds);
-  }
-  stats.bytes_sent = ch->bytes_sent();
-  stats.bytes_received = ch->bytes_received();
-  stats.total_seconds = seconds_since(t_total);
+  finish_stats(cfg, *ch, out.decoded, t_total, stats);
 
   if (cfg.verbose)
     std::fprintf(stderr,
@@ -295,14 +294,7 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
   stats.protocol_used = kProtocolVersion;
   {
     const auto t0 = Clock::now();
-    ClientHello hello;
-    hello.scheme = static_cast<std::uint8_t>(cfg.scheme);
-    hello.ot = static_cast<std::uint8_t>(cfg.ot);
-    hello.mode = static_cast<std::uint8_t>(cfg.mode);
-    hello.bit_width = static_cast<std::uint32_t>(cfg.bits);
-    hello.rounds = cfg.rounds_hint;
-    hello.circuit_hash = circuit_fingerprint(circ);
-    stats.rounds = client_handshake(*ch, hello);
+    stats.rounds = client_handshake(*ch, make_hello(cfg, circ, cfg.mode));
     stats.handshake_seconds = seconds_since(t0);
   }
 
@@ -390,16 +382,7 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
     }
   }
 
-  stats.output_value = circuit::from_bits(decoded);
-  if (cfg.check) {
-    stats.checked = true;
-    stats.verified = stats.output_value == demo_mac_reference(cfg.demo_seed,
-                                                              cfg.bits,
-                                                              stats.rounds);
-  }
-  stats.bytes_sent = ch->bytes_sent();
-  stats.bytes_received = ch->bytes_received();
-  stats.total_seconds = seconds_since(t_total);
+  finish_stats(cfg, *ch, decoded, t_total, stats);
 
   if (cfg.verbose)
     std::fprintf(stderr,

@@ -97,22 +97,11 @@ ReusableEvalOutcome eval_reusable_session(
   ch.flush();
   const proto::ReusableServerSetup ss = proto::recv_reusable_server_setup(ch);
 
+  const proto::ResumptionTicket ticket =
+      setup_client_pool(ch, st, rng, ss, need);
+
   ReusableEvalOutcome out;
-  if (ss.fresh) {
-    st.pool.reset();
-    st.ticket.reset();
-    st.pool.base_setup_step1(ch, rng);
-    st.pool.base_setup_step3();
-    out.fresh_pool = true;
-  }
-  if (ss.extend_count > 0) st.pool.extend(ch, ss.extend_count);
-  const proto::ResumptionTicket ticket = proto::recv_ticket(ch);
-  if (ticket.client_id != st.client_id)
-    throw NetError("reusable setup: ticket issued for a different client");
-  if (ticket.pool_id != ss.pool_id)
-    throw NetError("reusable setup: ticket names a different pool");
-  if (ss.claim_count != need)
-    throw NetError("reusable setup: claim does not cover the session rounds");
+  out.fresh_pool = ss.fresh;
 
   if (ss.artifact_bytes > 0) {
     // Size was cap-checked by the setup parser; receive, hash-verify,

@@ -61,33 +61,42 @@ std::shared_ptr<V3ClientState> make_v3_client_state(
   return st;
 }
 
-V3EvalOutcome eval_v3_session(
-    proto::Channel& ch, const circuit::Circuit& circ,
-    const gc::V3Analysis& an,
-    const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
-    crypto::RandomSource& rng) {
-  const std::size_t n_in = circ.evaluator_inputs.size();
-  proto::send_client_setup(
-      ch, proto::V3ClientSetup{st.pool.extended(), st.pool.watermark()});
-  ch.flush();
-  const proto::V3ServerSetup ss = proto::recv_server_setup(ch);
-
-  V3EvalOutcome out;
+proto::ResumptionTicket setup_client_pool(proto::Channel& ch,
+                                          V3ClientState& st,
+                                          crypto::RandomSource& rng,
+                                          const proto::V3ServerSetup& ss,
+                                          std::uint64_t need) {
   if (ss.fresh) {
     st.pool.reset();
     st.ticket.reset();
     st.pool.base_setup_step1(ch, rng);
     st.pool.base_setup_step3();
-    out.fresh_pool = true;
   }
   if (ss.extend_count > 0) st.pool.extend(ch, ss.extend_count);
   const proto::ResumptionTicket ticket = proto::recv_ticket(ch);
   if (ticket.client_id != st.client_id)
-    throw NetError("v3 setup: ticket issued for a different client");
+    throw NetError("pool setup: ticket issued for a different client");
   if (ticket.pool_id != ss.pool_id)
-    throw NetError("v3 setup: ticket names a different pool");
-  if (ss.claim_count != evaluator_bits.size() * n_in)
-    throw NetError("v3 setup: claim does not cover the session rounds");
+    throw NetError("pool setup: ticket names a different pool");
+  if (ss.claim_count != need)
+    throw NetError("pool setup: claim does not cover the session rounds");
+  return ticket;
+}
+
+V3EvalOutcome eval_v3_session(
+    proto::Channel& ch, const circuit::Circuit& circ,
+    const gc::V3Analysis& an,
+    const std::vector<std::vector<bool>>& evaluator_bits, V3ClientState& st,
+    crypto::RandomSource& rng) {
+  proto::send_client_setup(
+      ch, proto::V3ClientSetup{st.pool.extended(), st.pool.watermark()});
+  ch.flush();
+  const proto::V3ServerSetup ss = proto::recv_server_setup(ch);
+  const proto::ResumptionTicket ticket = setup_client_pool(
+      ch, st, rng, ss, evaluator_bits.size() * circ.evaluator_inputs.size());
+
+  V3EvalOutcome out;
+  out.fresh_pool = ss.fresh;
   // Watermark check: throws on any replayed index before we evaluate.
   st.pool.mark_consumed(ss.start_index, ss.claim_count);
   st.ticket = ticket;

@@ -114,6 +114,19 @@ struct V3EvalOutcome {
   std::uint64_t setup_bytes = 0; // wire bytes before the first round frame
 };
 
+// The client's half of the pool setup that v3 and reusable sessions
+// share, the counterpart of the session core's reconcile_pool. Follows
+// the server's verdict `ss` (a fresh pool restarts with base OT, a short
+// one is extended), then receives the resumption ticket and checks it,
+// and the claim, against this client and a session of `need` OTs.
+// Returns the ticket; the caller commits it with the claim
+// (mark_consumed, then st.ticket).
+proto::ResumptionTicket setup_client_pool(proto::Channel& ch,
+                                          V3ClientState& st,
+                                          crypto::RandomSource& rng,
+                                          const proto::V3ServerSetup& ss,
+                                          std::uint64_t need);
+
 // Client half of a v3 session, run after client_handshake_v3 was
 // accepted. evaluator_bits[r] holds round r's true input bits.
 V3EvalOutcome eval_v3_session(

@@ -6,10 +6,6 @@ namespace maxel::proto {
 
 using crypto::Block;
 
-GarblingBank::GarblingBank(const circuit::Circuit& c, gc::Scheme scheme,
-                           std::size_t rounds_per_session)
-    : circ_(c), scheme_(scheme), rounds_per_session_(rounds_per_session) {}
-
 PrecomputedSession garble_session(const circuit::Circuit& c, gc::Scheme scheme,
                                   std::size_t rounds,
                                   crypto::RandomSource& rng) {
@@ -23,39 +19,6 @@ PrecomputedSession garble_session(const circuit::Circuit& c, gc::Scheme scheme,
     if (r == 0) session.initial_state_labels = garbler.initial_state_labels();
   }
   return session;
-}
-
-std::uint64_t session_byte_size(const PrecomputedSession& s) {
-  std::uint64_t bytes = 16 * s.initial_state_labels.size();
-  for (const auto& r : s.rounds)
-    bytes += r.tables.byte_size(s.scheme) +
-             16 * (r.garbler_labels0.size() + 2 * r.evaluator_pairs.size() +
-                   r.fixed_labels.size());
-  return bytes;
-}
-
-void GarblingBank::precompute(std::size_t n, crypto::RandomSource& rng) {
-  for (std::size_t s = 0; s < n; ++s)
-    add_session(garble_session(circ_, scheme_, rounds_per_session_, rng));
-}
-
-void GarblingBank::add_session(PrecomputedSession s) {
-  if (s.scheme != scheme_ || s.rounds.size() != rounds_per_session_)
-    throw std::invalid_argument(
-        "GarblingBank::add_session: scheme/rounds mismatch");
-  stats_.stored_bytes += session_byte_size(s);
-  store_.push_back(std::move(s));
-  ++stats_.sessions_ready;
-}
-
-PrecomputedSession GarblingBank::take_session() {
-  if (store_.empty())
-    throw std::runtime_error("GarblingBank: no precomputed sessions left");
-  PrecomputedSession s = std::move(store_.back());
-  store_.pop_back();  // fresh labels per client: sessions are single-use
-  --stats_.sessions_ready;
-  ++stats_.sessions_served;
-  return s;
 }
 
 PrecomputedGarblerParty::PrecomputedGarblerParty(PrecomputedSession session,

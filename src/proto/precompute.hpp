@@ -4,11 +4,11 @@
 // the generated labels. The host ... when requested by the client simply
 // performs the [evaluation] with one of the stored garbled circuits."
 //
-// GarblingBank is that host-side store: sessions of pre-garbled rounds
-// (tables, input label pairs, decode maps) produced offline; serving a
-// client consumes one session and only performs label selection + OT +
-// transfer online. Each session uses fresh labels — reuse would break
-// security, so consumed sessions are destroyed (checked at runtime).
+// svc::SessionSpool is that host-side store: sessions of pre-garbled
+// rounds (tables, input label pairs, decode maps) produced offline;
+// serving a client consumes one session and only performs label
+// selection + OT + transfer online. Each session uses fresh labels —
+// reuse would break security, so a served session is destroyed.
 #pragma once
 
 #include <cstdint>
@@ -38,52 +38,12 @@ struct PrecomputedSession {
   gc::Scheme scheme = gc::Scheme::kHalfGates;
 };
 
-struct BankStats {
-  std::size_t sessions_ready = 0;
-  std::size_t sessions_served = 0;
-  std::uint64_t stored_bytes = 0;  // host memory footprint of the store
-};
-
-// Garbles one complete session (the body of GarblingBank::precompute,
-// exposed so callers with their own parallelism — e.g. one GC core per
-// session on a core::GcCorePool — can produce sessions off-thread and
-// deposit them with add_session).
+// Garbles one complete session. Callers with their own parallelism —
+// e.g. one GC core per session on a core::GcCorePool — produce sessions
+// off-thread and deposit them in the spool.
 PrecomputedSession garble_session(const circuit::Circuit& c, gc::Scheme scheme,
                                   std::size_t rounds,
                                   crypto::RandomSource& rng);
-
-// Host memory footprint of a session (tables + label material).
-std::uint64_t session_byte_size(const PrecomputedSession& s);
-
-class GarblingBank {
- public:
-  GarblingBank(const circuit::Circuit& c, gc::Scheme scheme,
-               std::size_t rounds_per_session);
-
-  // Offline phase: garble and store `n` fresh sessions (what the
-  // accelerator streams up while the host is otherwise idle).
-  void precompute(std::size_t n, crypto::RandomSource& rng);
-
-  // Deposits an externally garbled session (must match this bank's
-  // circuit/scheme/rounds — checked).
-  void add_session(PrecomputedSession s);
-
-  // Online phase: pops one session. Throws if the bank is empty.
-  PrecomputedSession take_session();
-
-  [[nodiscard]] const BankStats& stats() const { return stats_; }
-  [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
-  [[nodiscard]] std::size_t rounds_per_session() const {
-    return rounds_per_session_;
-  }
-
- private:
-  const circuit::Circuit& circ_;
-  gc::Scheme scheme_;
-  std::size_t rounds_per_session_;
-  std::vector<PrecomputedSession> store_;
-  BankStats stats_;
-};
 
 // Serves one stored session to an evaluator over a channel, performing
 // only online work: table/label transfer and OT. The counterpart is the

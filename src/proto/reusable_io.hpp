@@ -38,6 +38,7 @@
 #include "crypto/block.hpp"
 #include "gc/reusable.hpp"
 #include "proto/channel.hpp"
+#include "proto/v3_records.hpp"
 
 namespace maxel::proto {
 
@@ -68,13 +69,8 @@ struct ReusableClientSetup {
   std::array<std::uint8_t, 32> artifact_sha{};
 };
 
-struct ReusableServerSetup {
-  bool fresh = false;  // true: discard pool, run base OT anew
-  std::uint64_t pool_id = 0;
-  crypto::Block cookie;
-  std::uint64_t start_index = 0;
-  std::uint64_t claim_count = 0;
-  std::uint64_t extend_count = 0;
+// The v3 pool verdict (same fields, same wire order) plus the artifact.
+struct ReusableServerSetup : V3ServerSetup {
   std::uint64_t artifact_bytes = 0;  // 0: client cache is current
   std::array<std::uint8_t, 32> artifact_sha{};
 };

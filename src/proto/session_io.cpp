@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -205,18 +204,6 @@ PrecomputedSession load_session(std::istream& is) {
   }
   s.initial_state_labels = get_blocks(is);
   return s;
-}
-
-void save_session_file(const PrecomputedSession& s, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("save_session_file: cannot open " + path);
-  save_session(s, os);
-}
-
-PrecomputedSession load_session_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_session_file: cannot open " + path);
-  return load_session(is);
 }
 
 std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s) {

@@ -53,10 +53,6 @@ inline constexpr std::uint64_t kMaxSessionCount = 1u << 26;  // per-vector
 void save_session(const PrecomputedSession& s, std::ostream& os);
 PrecomputedSession load_session(std::istream& is);
 
-// Convenience file helpers; throw std::runtime_error on I/O failure.
-void save_session_file(const PrecomputedSession& s, const std::string& path);
-PrecomputedSession load_session_file(const std::string& path);
-
 // Whole-session byte codec, same format as save/load_session.
 std::vector<std::uint8_t> serialize_session(const PrecomputedSession& s);
 // The same bytes, handed to `emit` in order in pieces of up to 64 KiB

@@ -6,11 +6,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <vector>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "proto/reusable_io.hpp"
@@ -25,55 +26,46 @@ namespace {
 constexpr const char* kIndexName = "spool.idx";
 constexpr const char* kIndexMagic = "MXSPOOL1";
 
-std::string sha_hex(const std::uint8_t* data, std::size_t n) {
-  return crypto::Sha256::hex(crypto::Sha256::hash(data, n));
+std::string sha_hex(const void* data, std::size_t n) {
+  return crypto::Sha256::hex(
+      crypto::Sha256::hash(static_cast<const std::uint8_t*>(data), n));
 }
 
-// sess-<12-digit seq>.mxs (v2) / v3ss-<12-digit seq>.mx3 (v3 lane); the
-// zero-padded sequence keeps lexicographic order equal to creation
-// order within a lane, so "oldest first" is a plain sort.
-std::string session_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "sess-%012llu.mxs",
-                static_cast<unsigned long long>(seq));
-  return buf;
+// One row per lane, indexed by SessionSpool::Lane: the file name is
+// <prefix><12-digit seq><ext>, and the zero-padded sequence keeps
+// lexicographic order equal to creation order within a lane, so "oldest
+// first" is a plain sort. The counters are the lane's SpoolStats fields.
+struct LaneSpec {
+  const char* prefix;
+  const char* ext;
+  std::size_t SpoolStats::*ready;
+  std::uint64_t SpoolStats::*spooled;
+};
+
+constexpr LaneSpec kLanes[] = {
+    {"sess-", ".mxs", &SpoolStats::sessions_ready,
+     &SpoolStats::sessions_spooled},
+    {"v3ss-", ".mx3", &SpoolStats::sessions_ready_v3, &SpoolStats::v3_spooled},
+    {"reus-", ".mxr", &SpoolStats::reusable_ready,
+     &SpoolStats::reusable_spooled},
+};
+constexpr std::size_t kNameSize = 5 + 12 + 4;
+
+// (A template so it can take the spool's private Lane enum.)
+template <class Lane>
+const LaneSpec& spec(Lane lane) {
+  return kLanes[static_cast<std::size_t>(lane)];
 }
 
-std::string session_v3_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "v3ss-%012llu.mx3",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-std::string reusable_file_name(std::uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "reus-%012llu.mxr",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-bool is_v3_name(const std::string& name) {
-  return name.rfind("v3ss-", 0) == 0;
-}
-
-bool is_reusable_name(const std::string& name) {
-  return name.rfind("reus-", 0) == 0;
-}
-
-// Parses the sequence number back out of a file name (any lane);
-// ~0 on mismatch.
-std::uint64_t parse_seq(const std::string& name) {
-  if (name.size() != 21) return ~0ull;
-  if (name.rfind("sess-", 0) == 0) {
-    if (name.substr(17) != ".mxs") return ~0ull;
-  } else if (is_v3_name(name)) {
-    if (name.substr(17) != ".mx3") return ~0ull;
-  } else if (is_reusable_name(name)) {
-    if (name.substr(17) != ".mxr") return ~0ull;
-  } else {
-    return ~0ull;
-  }
+// Parses a file name of any lane: its sequence number, with its lane
+// index in `lane`; ~0 when it names no lane.
+std::uint64_t parse_name(const std::string& name, std::size_t& lane) {
+  if (name.size() != kNameSize) return ~0ull;
+  for (lane = 0; lane < std::size(kLanes); ++lane)
+    if (name.compare(0, 5, kLanes[lane].prefix) == 0 &&
+        name.compare(17, 4, kLanes[lane].ext) == 0)
+      break;
+  if (lane == std::size(kLanes)) return ~0ull;
   std::uint64_t seq = 0;
   for (std::size_t i = 5; i < 17; ++i) {
     const char c = name[i];
@@ -81,6 +73,18 @@ std::uint64_t parse_seq(const std::string& name) {
     seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return seq;
+}
+
+// A whole file, or nullopt when it cannot be read.
+std::optional<std::vector<std::uint8_t>> read_file(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) return std::nullopt;
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(is.tellg()));
+  is.seekg(0);
+  if (!is.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size())))
+    return std::nullopt;
+  return bytes;
 }
 
 void remove_all_children(const fs::path& dir, std::uint64_t* count = nullptr) {
@@ -124,138 +128,86 @@ void SessionSpool::open_or_rebuild() {
   remove_all_children(root / "claimed", &stats_.purged_on_open);
   remove_all_children(root / "tmp");
 
-  // Try the checksummed index first.
+  // Try the checksummed index first: the magic line, one line per ready
+  // file, then "SUM <sha256 of everything above>".
   bool index_ok = false;
-  {
-    std::ifstream is(root / kIndexName);
-    if (is) {
-      std::ostringstream body;
-      std::string line, sum_line;
-      bool magic_ok = false;
-      while (std::getline(is, line)) {
-        if (!magic_ok) {
-          magic_ok = line == kIndexMagic;
-          if (!magic_ok) break;
-          body << line << "\n";
-          continue;
-        }
-        if (line.rfind("SUM ", 0) == 0) {
-          sum_line = line.substr(4);
-          break;
-        }
-        body << line << "\n";
-      }
-      const std::string content = body.str();
-      if (magic_ok && !sum_line.empty() &&
-          sum_line == sha_hex(reinterpret_cast<const std::uint8_t*>(
-                                  content.data()),
-                              content.size())) {
-        index_ok = true;
-        std::istringstream lines(content);
-        std::string l;
-        std::getline(lines, l);  // magic
-        while (std::getline(lines, l)) {
-          std::istringstream f(l);
-          Entry e;
-          if (!(f >> e.name >> e.bytes >> e.sha256_hex)) {
-            index_ok = false;
-            break;
-          }
-          e.v3 = is_v3_name(e.name);
-          e.reusable = is_reusable_name(e.name);
-          // v3 lines carry a fourth column: the pool lineage the
-          // session was garbled under. Reusable lines carry the cache
-          // key and the persisted evaluations-served counter.
-          if (e.v3 && !(f >> e.lineage)) {
-            index_ok = false;
-            break;
-          }
-          if (e.reusable && !(f >> e.key >> e.evals)) {
-            index_ok = false;
-            break;
-          }
-          index_.push_back(std::move(e));
-        }
-        if (!index_ok) index_.clear();
-      }
+  if (std::ifstream is{root / kIndexName}) {
+    std::string body, line;
+    while (std::getline(is, line) && line.rfind("SUM ", 0) != 0)
+      body += line + "\n";
+    index_ok = body.rfind(std::string(kIndexMagic) + "\n", 0) == 0 &&
+               line == "SUM " + sha_hex(body.data(), body.size());
+    std::istringstream lines(body);
+    std::getline(lines, line);  // magic
+    while (index_ok && std::getline(lines, line)) {
+      std::istringstream f(line);
+      Entry e;
+      index_ok = static_cast<bool>(f >> e.name >> e.bytes >> e.sha256_hex);
+      std::size_t lane = 0;
+      if (parse_name(e.name, lane) != ~0ull) e.lane = Lane(lane);
+      // v3 lines carry a fourth column: the pool lineage the session was
+      // garbled under. Reusable lines carry the cache key and the
+      // persisted evaluations-served counter.
+      if (e.lane == Lane::kV3) index_ok = index_ok && (f >> e.lineage);
+      if (e.lane == Lane::kReusable)
+        index_ok = index_ok && (f >> e.key >> e.evals);
+      index_.push_back(std::move(e));
     }
+    if (!index_ok) index_.clear();
   }
 
   // Reconcile against ready/ — the directory is ground truth for which
   // sessions exist; the index contributes the checksums. Entries whose
   // file vanished are dropped; files the index missed are (re)hashed.
-  std::deque<Entry> reconciled;
+  Index reconciled;
   std::vector<std::string> on_disk;
-  for (const auto& e : fs::directory_iterator(root / "ready"))
-    if (e.is_regular_file() && parse_seq(e.path().filename().string()) != ~0ull)
+  for (const auto& e : fs::directory_iterator(root / "ready")) {
+    std::size_t lane = 0;
+    if (e.is_regular_file() &&
+        parse_name(e.path().filename().string(), lane) != ~0ull)
       on_disk.push_back(e.path().filename().string());
+  }
   std::sort(on_disk.begin(), on_disk.end());
   for (const auto& name : on_disk) {
+    std::size_t lane = 0;
+    next_seq_ = std::max(next_seq_, parse_name(name, lane) + 1);
     const auto it = std::find_if(index_.begin(), index_.end(),
                                  [&](const Entry& e) { return e.name == name; });
     if (index_ok && it != index_.end()) {
       reconciled.push_back(*it);
-    } else {
-      std::ifstream f(root / "ready" / name, std::ios::binary);
-      std::ostringstream bytes;
-      bytes << f.rdbuf();
-      const std::string b = bytes.str();
-      Entry e;
-      e.name = name;
-      e.bytes = b.size();
-      e.sha256_hex = sha_hex(
-          reinterpret_cast<const std::uint8_t*>(b.data()), b.size());
-      if (is_v3_name(name)) {
-        // The lineage column was lost with the index; recover it from
-        // the file itself, or destroy a file that no longer parses.
-        try {
-          e.lineage = proto::parse_session_v3(
-                          reinterpret_cast<const std::uint8_t*>(b.data()),
-                          b.size())
-                          .pool_lineage;
-          e.v3 = true;
-        } catch (const std::exception&) {
-          std::error_code ec;
-          fs::remove(root / "ready" / name, ec);
-          continue;
-        }
-      } else if (is_reusable_name(name)) {
-        // The key (and, lost with the index, the evaluation counter)
-        // is recovered from the artifact itself; a blob that no longer
-        // parses is destroyed rather than ever offered to a broker.
-        try {
-          const gc::ReusableCircuit rc = proto::parse_reusable(
-              reinterpret_cast<const std::uint8_t*>(b.data()), b.size());
-          e.key =
-              reusable_artifact_key(rc.view.fingerprint, rc.view.bit_width);
-          e.reusable = true;
-          e.evals = 0;
-        } catch (const std::exception&) {
-          std::error_code ec;
-          fs::remove(root / "ready" / name, ec);
-          continue;
-        }
-      }
-      reconciled.push_back(std::move(e));
+      continue;
     }
-    next_seq_ = std::max(next_seq_, parse_seq(name) + 1);
+    const auto b = read_file(root / "ready" / name);
+    if (!b) continue;
+    Entry e;
+    e.name = name;
+    e.bytes = b->size();
+    e.sha256_hex = sha_hex(b->data(), b->size());
+    e.lane = Lane(lane);
+    // The v3 lineage column and the reusable key were lost with the
+    // index (and with it a reusable evaluation counter): recover them
+    // from the file itself, or destroy a file that no longer parses
+    // rather than ever offer it.
+    try {
+      if (e.lane == Lane::kV3) {
+        e.lineage = proto::parse_session_v3(b->data(), b->size()).pool_lineage;
+      } else if (e.lane == Lane::kReusable) {
+        const gc::ReusableCircuit rc =
+            proto::parse_reusable(b->data(), b->size());
+        e.key = reusable_artifact_key(rc.view.fingerprint, rc.view.bit_width);
+      }
+    } catch (const std::exception&) {
+      std::error_code ec;
+      fs::remove(root / "ready" / name, ec);
+      continue;
+    }
+    reconciled.push_back(std::move(e));
   }
   index_ = std::move(reconciled);
-  stats_.sessions_ready = 0;
-  stats_.sessions_ready_v3 = 0;
-  stats_.reusable_ready = 0;
-  stats_.reusable_evaluations = 0;
-  stats_.bytes_on_disk = 0;
   for (const auto& e : index_) {
     stats_.bytes_on_disk += e.bytes;
-    if (e.v3) {
-      ++stats_.sessions_ready_v3;
-    } else if (e.reusable) {
-      ++stats_.reusable_ready;
-      stats_.reusable_evaluations += e.evals;
-    } else {
-      ++stats_.sessions_ready;
-    }
+    stats_.reusable_evaluations += e.evals;
+    ++(stats_.*spec(e.lane).ready);
   }
   write_index_locked();
 }
@@ -266,282 +218,243 @@ void SessionSpool::write_index_locked() {
   body << kIndexMagic << "\n";
   for (const auto& e : index_) {
     body << e.name << " " << e.bytes << " " << e.sha256_hex;
-    if (e.v3) body << " " << e.lineage;
-    if (e.reusable) body << " " << e.key << " " << e.evals;
+    if (e.lane == Lane::kV3) body << " " << e.lineage;
+    if (e.lane == Lane::kReusable) body << " " << e.key << " " << e.evals;
     body << "\n";
   }
   const std::string content = body.str();
   const fs::path tmp = root / "tmp" / "spool.idx.tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os << content << "SUM "
-       << sha_hex(reinterpret_cast<const std::uint8_t*>(content.data()),
-                  content.size())
+    os << content << "SUM " << sha_hex(content.data(), content.size())
        << "\n";
     if (!os) throw std::runtime_error("SessionSpool: cannot write index");
   }
   fs::rename(tmp, root / kIndexName);
 }
 
-void SessionSpool::put(proto::PrecomputedSession s) {
-  std::string name;
+void SessionSpool::commit(Entry e, const WriteFn& write,
+                          const std::function<void(const Entry&)>& publish) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    name = session_file_name(next_seq_++);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%012llu%s", spec(e.lane).prefix,
+                  static_cast<unsigned long long>(next_seq_++),
+                  spec(e.lane).ext);
+    e.name = buf;
   }
   const fs::path root(cfg_.dir);
-  const fs::path tmp = root / "tmp" / name;
-  // One pass, outside the lock: each serialized piece is checksummed and
-  // written as it comes, so the session never exists as one big buffer.
+  const fs::path tmp = root / "tmp" / e.name;
+  // One pass, outside the lock: each piece is checksummed and written as
+  // it comes, so a session never has to exist as one big buffer.
   crypto::Sha256 sha;
-  std::uint64_t size = 0;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    proto::serialize_session(s, [&](const std::uint8_t* p, std::size_t n) {
+    write([&](const std::uint8_t* p, std::size_t n) {
       sha.update(p, n);
       os.write(reinterpret_cast<const char*>(p),
                static_cast<std::streamsize>(n));
-      size += n;
+      e.bytes += n;
     });
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
+    if (!os) throw std::runtime_error("SessionSpool: cannot write " + e.name);
   }
+  e.sha256_hex = crypto::Sha256::hex(sha.digest());
 
   const std::lock_guard<std::mutex> lock(mu_);
   // The rename is the commit point: ready/ only ever holds complete files.
-  fs::rename(tmp, root / "ready" / name);
-  Entry entry;
-  entry.name = name;
-  entry.bytes = size;
-  entry.sha256_hex = crypto::Sha256::hex(sha.digest());
-  index_.push_back(std::move(entry));
-  ++stats_.sessions_spooled;
-  ++stats_.sessions_ready;
-  stats_.bytes_on_disk += size;
+  fs::rename(tmp, root / "ready" / e.name);
+  if (publish) publish(e);
+  ++(stats_.*spec(e.lane).spooled);
+  ++(stats_.*spec(e.lane).ready);
+  stats_.bytes_on_disk += e.bytes;
+  index_.push_back(std::move(e));
   write_index_locked();
-
-  if (cache_.size() < cfg_.ram_cache_sessions)
-    cache_.push_back(Cached{name, std::move(s)});
 }
 
-bool SessionSpool::claim_locked(const Entry& e) {
-  const fs::path root(cfg_.dir);
+SessionSpool::Entry SessionSpool::unlist_locked(Index::iterator it) {
+  Entry e = std::move(*it);
+  index_.erase(it);
+  stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
+  stats_.reusable_evaluations -= std::min(stats_.reusable_evaluations, e.evals);
+  --(stats_.*spec(e.lane).ready);
+  return e;
+}
+
+SessionSpool::Index::iterator SessionSpool::destroy_locked(
+    Index::iterator it) {
+  const auto pos = it - index_.begin();
+  const Entry e = unlist_locked(it);
   std::error_code ec;
-  fs::rename(root / "ready" / e.name, root / "claimed" / e.name, ec);
-  return !ec;
+  fs::remove(fs::path(cfg_.dir) / "ready" / e.name, ec);
+  return index_.begin() + pos;
 }
 
-std::optional<proto::PrecomputedSession> SessionSpool::take() {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::optional<SessionSpool::Entry> SessionSpool::claim_oldest_locked(
+    Lane lane) {
   const fs::path root(cfg_.dir);
   for (;;) {
     const auto it =
         std::find_if(index_.begin(), index_.end(),
-                     [](const Entry& e) { return !e.v3 && !e.reusable; });
+                     [&](const Entry& e) { return e.lane == lane; });
     if (it == index_.end()) return std::nullopt;
-    Entry e = *it;
-    index_.erase(it);
-    if (!claim_locked(e)) {
-      // Somebody else (another process sharing the directory) won the
-      // rename, or the file vanished; either way it is not ours.
-      --stats_.sessions_ready;
-      continue;
-    }
-    --stats_.sessions_ready;
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
-    ++stats_.sessions_claimed;
+    Entry e = unlist_locked(it);
+    std::error_code ec;
+    fs::rename(root / "ready" / e.name, root / "claimed" / e.name, ec);
     write_index_locked();
+    // A failed rename means somebody else (another process sharing the
+    // directory) won it, or the file vanished; either way it is not ours.
+    if (!ec) return e;
+  }
+}
 
+std::optional<std::vector<std::uint8_t>> SessionSpool::read_verified(
+    const std::string& subdir, const Entry& e) const {
+  auto bytes = read_file(fs::path(cfg_.dir) / subdir / e.name);
+  if (bytes && cfg_.verify_checksums &&
+      sha_hex(bytes->data(), bytes->size()) != e.sha256_hex)
+    bytes.reset();
+  return bytes;
+}
+
+void SessionSpool::put(proto::PrecomputedSession s) {
+  Entry e;
+  e.lane = Lane::kV2;
+  commit(
+      std::move(e),
+      [&](const proto::SessionBytesFn& emit) {
+        proto::serialize_session(s, emit);
+      },
+      [&](const Entry& published) {
+        if (cache_.size() < cfg_.ram_cache_sessions)
+          cache_.push_back(Cached{published.name, std::move(s)});
+      });
+}
+
+std::optional<proto::PrecomputedSession> SessionSpool::take() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  while (const auto e = claim_oldest_locked(Lane::kV2)) {
+    std::optional<proto::PrecomputedSession> s;
     // RAM-cache hit: the bytes never leave memory; the claim above
     // already burned the on-disk copy.
-    const auto cached = std::find_if(
-        cache_.begin(), cache_.end(),
-        [&](const Cached& c) { return c.name == e.name; });
+    const auto cached =
+        std::find_if(cache_.begin(), cache_.end(),
+                     [&](const Cached& c) { return c.name == e->name; });
     if (cached != cache_.end()) {
-      proto::PrecomputedSession s = std::move(cached->session);
+      s = std::move(cached->session);
       cache_.erase(cached);
       ++stats_.cache_hits;
-      std::error_code ec;
-      fs::remove(root / "claimed" / e.name, ec);
+    } else {
+      ++stats_.cache_misses;
+      if (const auto bytes = read_verified("claimed", *e)) {
+        try {
+          s = proto::parse_session(bytes->data(), bytes->size());
+        } catch (const std::exception&) {
+        }
+      }
+    }
+    std::error_code ec;
+    fs::remove(fs::path(cfg_.dir) / "claimed" / e->name, ec);
+    if (s) {
+      ++stats_.sessions_claimed;
       return s;
     }
-
-    ++stats_.cache_misses;
-    std::ifstream is(root / "claimed" / e.name, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string bytes = buf.str();
-    if (cfg_.verify_checksums &&
-        sha_hex(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                bytes.size()) != e.sha256_hex)
-      throw std::runtime_error("SessionSpool: checksum mismatch on " + e.name +
-                               " (bit rot or tampering)");
-    proto::PrecomputedSession s = proto::parse_session(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    std::error_code ec;
-    fs::remove(root / "claimed" / e.name, ec);
-    return s;
+    ++stats_.corrupt_discarded;  // bit rot or tampering: burned, never served
   }
   return std::nullopt;
 }
 
 void SessionSpool::put_v3(const proto::PrecomputedSessionV3& s) {
-  const std::vector<std::uint8_t> bytes = proto::serialize_session_v3(s);
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = session_v3_file_name(next_seq_++);
-  const fs::path root(cfg_.dir);
-  const fs::path tmp = root / "tmp" / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
-  }
-  fs::rename(tmp, root / "ready" / name);
-  Entry entry;
-  entry.name = name;
-  entry.bytes = bytes.size();
-  entry.sha256_hex = digest;
-  entry.v3 = true;
-  entry.lineage = s.pool_lineage;
-  index_.push_back(std::move(entry));
-  ++stats_.v3_spooled;
-  ++stats_.sessions_ready_v3;
-  stats_.bytes_on_disk += bytes.size();
-  write_index_locked();
+  Entry e;
+  e.lane = Lane::kV3;
+  e.lineage = s.pool_lineage;
+  commit(
+      std::move(e),
+      [&](const proto::SessionBytesFn& emit) {
+        const std::vector<std::uint8_t> bytes = proto::serialize_session_v3(s);
+        emit(bytes.data(), bytes.size());
+      },
+      {});
 }
 
 std::optional<proto::PrecomputedSessionV3> SessionSpool::take_v3(
     std::uint64_t expected_lineage) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
-  for (;;) {
-    const auto it = std::find_if(index_.begin(), index_.end(),
-                                 [](const Entry& e) { return e.v3; });
-    if (it == index_.end()) return std::nullopt;
-    Entry e = *it;
-    index_.erase(it);
-    --stats_.sessions_ready_v3;
-    if (!claim_locked(e)) continue;
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, e.bytes);
-    write_index_locked();
-
+  while (const auto e = claim_oldest_locked(Lane::kV3)) {
+    const fs::path claimed = fs::path(cfg_.dir) / "claimed" / e->name;
     std::error_code ec;
-    if (e.lineage != expected_lineage) {
+    if (e->lineage != expected_lineage) {
       // Garbled under a pool delta this process does not hold (e.g. a
       // previous broker's registry). Unservable — burn it and move on.
       ++stats_.v3_lineage_discarded;
-      fs::remove(root / "claimed" / e.name, ec);
+      fs::remove(claimed, ec);
       continue;
     }
-
-    std::ifstream is(root / "claimed" / e.name, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string bytes = buf.str();
-    if (cfg_.verify_checksums &&
-        sha_hex(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                bytes.size()) != e.sha256_hex)
-      throw std::runtime_error("SessionSpool: checksum mismatch on " + e.name +
-                               " (bit rot or tampering)");
-    proto::PrecomputedSessionV3 s = proto::parse_session_v3(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    ++stats_.v3_claimed;
-    fs::remove(root / "claimed" / e.name, ec);
-    return s;
+    std::optional<proto::PrecomputedSessionV3> s;
+    if (const auto bytes = read_verified("claimed", *e)) {
+      try {
+        s = proto::parse_session_v3(bytes->data(), bytes->size());
+      } catch (const std::exception&) {
+      }
+    }
+    fs::remove(claimed, ec);
+    if (s) {
+      ++stats_.v3_claimed;
+      return s;
+    }
+    ++stats_.corrupt_discarded;  // bit rot or tampering: burned, never served
   }
+  return std::nullopt;
 }
 
 void SessionSpool::put_reusable(const std::string& key,
                                 const std::vector<std::uint8_t>& bytes) {
   if (key.empty() || key.find_first_of(" \t\n") != std::string::npos)
     throw std::invalid_argument("SessionSpool: bad reusable key");
-  const std::string digest = sha_hex(bytes.data(), bytes.size());
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
-  // One resident artifact per key: a repeated put replaces (re-garble
-  // after corruption, operator-forced refresh) and the evaluation
-  // counter restarts with the new artifact's lineage.
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->reusable && it->key == key) {
-      std::error_code ec;
-      fs::remove(root / "ready" / it->name, ec);
-      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-      stats_.reusable_evaluations -=
-          std::min(stats_.reusable_evaluations, it->evals);
-      --stats_.reusable_ready;
-      it = index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  const std::string name = reusable_file_name(next_seq_++);
-  const fs::path tmp = root / "tmp" / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("SessionSpool: cannot write " + name);
-  }
-  fs::rename(tmp, root / "ready" / name);
   Entry e;
-  e.name = name;
-  e.bytes = bytes.size();
-  e.sha256_hex = digest;
-  e.reusable = true;
+  e.lane = Lane::kReusable;
   e.key = key;
-  index_.push_back(std::move(e));
-  ++stats_.reusable_spooled;
-  ++stats_.reusable_ready;
-  stats_.bytes_on_disk += bytes.size();
-  write_index_locked();
+  commit(
+      std::move(e),
+      [&](const proto::SessionBytesFn& emit) {
+        emit(bytes.data(), bytes.size());
+      },
+      [&](const Entry&) {
+        // One resident artifact per key: a repeated put replaces
+        // (re-garble after corruption, operator-forced refresh) and the
+        // evaluation counter restarts with the new artifact's lineage.
+        for (auto it = index_.begin(); it != index_.end();)
+          it = it->lane == Lane::kReusable && it->key == key
+                   ? destroy_locked(it)
+                   : it + 1;
+      });
 }
 
 std::optional<std::vector<std::uint8_t>> SessionSpool::fetch_reusable(
     const std::string& key) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
-  const auto it = std::find_if(
-      index_.begin(), index_.end(),
-      [&](const Entry& e) { return e.reusable && e.key == key; });
+  const auto it =
+      std::find_if(index_.begin(), index_.end(), [&](const Entry& e) {
+        return e.lane == Lane::kReusable && e.key == key;
+      });
   if (it == index_.end()) return std::nullopt;
-
-  std::ifstream is(root / "ready" / it->name, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string b = buf.str();
-  const bool corrupt =
-      !is.good() ||
-      (cfg_.verify_checksums &&
-       sha_hex(reinterpret_cast<const std::uint8_t*>(b.data()), b.size()) !=
-           it->sha256_hex);
-  if (corrupt) {
+  auto bytes = read_verified("ready", *it);
+  if (!bytes) {
     // Bit rot or tampering: destroy the blob so it can never be served,
     // and let the caller re-garble under the same key.
-    std::error_code ec;
-    fs::remove(root / "ready" / it->name, ec);
-    stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-    stats_.reusable_evaluations -=
-        std::min(stats_.reusable_evaluations, it->evals);
-    --stats_.reusable_ready;
+    destroy_locked(it);
     ++stats_.reusable_corrupt_discarded;
-    index_.erase(it);
     write_index_locked();
-    return std::nullopt;
   }
-  return std::vector<std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(b.data()),
-      reinterpret_cast<const std::uint8_t*>(b.data()) + b.size());
+  return bytes;
 }
 
 void SessionSpool::add_reusable_evaluations(const std::string& key,
                                             std::uint64_t rounds) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = std::find_if(
-      index_.begin(), index_.end(),
-      [&](const Entry& e) { return e.reusable && e.key == key; });
+  const auto it =
+      std::find_if(index_.begin(), index_.end(), [&](const Entry& e) {
+        return e.lane == Lane::kReusable && e.key == key;
+      });
   if (it == index_.end()) return;  // artifact purged under us: drop the count
   it->evals += rounds;
   stats_.reusable_evaluations += rounds;
@@ -550,22 +463,16 @@ void SessionSpool::add_reusable_evaluations(const std::string& key,
 
 std::size_t SessionSpool::purge_reusable() {
   const std::lock_guard<std::mutex> lock(mu_);
-  const fs::path root(cfg_.dir);
   std::size_t removed = 0;
   for (auto it = index_.begin(); it != index_.end();) {
-    if (it->reusable) {
-      std::error_code ec;
-      fs::remove(root / "ready" / it->name, ec);
-      stats_.bytes_on_disk -= std::min(stats_.bytes_on_disk, it->bytes);
-      ++stats_.reusable_purged;
+    if (it->lane == Lane::kReusable) {
+      it = destroy_locked(it);
       ++removed;
-      it = index_.erase(it);
     } else {
       ++it;
     }
   }
-  stats_.reusable_ready = 0;
-  stats_.reusable_evaluations = 0;
+  stats_.reusable_purged += removed;
   write_index_locked();
   return removed;
 }
@@ -574,7 +481,7 @@ std::vector<ReusableSpoolEntry> SessionSpool::reusable_entries() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<ReusableSpoolEntry> out;
   for (const auto& e : index_)
-    if (e.reusable)
+    if (e.lane == Lane::kReusable)
       out.push_back(
           ReusableSpoolEntry{e.name, e.key, e.bytes, e.sha256_hex, e.evals});
   return out;

@@ -1,7 +1,7 @@
 // Disk-backed spool of pre-garbled sessions — the durable half of
 // Fig. 1's host-side store. The accelerator (here: a GcCorePool
 // producer) keeps depositing sessions; broker workers claim and serve
-// them. Unlike the in-memory GarblingBank, the spool survives a host
+// them. It is the one store of pre-garbled material: it survives a host
 // kill/restart, and its claim discipline guarantees single-use even
 // across a crash.
 //
@@ -21,12 +21,17 @@
 // The reusable lane breaks the single-use mold on purpose: a reusable
 // artifact is garbled once per (circuit fingerprint, bit width) key and
 // then read — never claimed — by every broker process that opens the
-// spool, surviving restarts. Corruption is handled at fetch time: a
-// checksum mismatch destroys the file and the caller re-garbles, so a
-// flipped bit on disk costs one garbling, never a wrong table.
+// spool, surviving restarts.
+//
+// Every lane commits through one write and reads through one verified
+// read, so every lane follows one corruption policy: a file whose bytes
+// no longer match its checksum is destroyed and counted, never returned.
+// take()/take_v3() then move on to the next ready session; a reusable
+// fetch returns nullopt and the caller re-garbles. A flipped bit on disk
+// costs one garbling, never a wrong table.
 //
 // Single-use invariants (v2 and v3 lanes):
-//   * put() writes tmp/<name>, fsync-free but complete, then renames
+//   * Every put writes tmp/<name>, fsync-free but complete, then renames
 //     into ready/ — a crash mid-write leaves only tmp/ garbage, never a
 //     half session in ready/.
 //   * take() claims by renaming ready/<f> -> claimed/<f> BEFORE the
@@ -51,12 +56,14 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "proto/precompute.hpp"
+#include "proto/session_io.hpp"
 #include "proto/v3_session.hpp"
 
 namespace maxel::svc {
@@ -75,6 +82,9 @@ struct SpoolStats {
   std::uint64_t cache_misses = 0;       // take() read back from disk
   std::uint64_t purged_on_open = 0;     // claimed/ leftovers destroyed
   std::uint64_t bytes_on_disk = 0;      // sum of ready/ file sizes
+  // v2/v3 sessions destroyed because their bytes failed the checksum
+  // (or no longer parse) when claimed. Never served.
+  std::uint64_t corrupt_discarded = 0;
   // Protocol-v3 lane (slim-wire sessions bound to an OT-pool delta).
   std::size_t sessions_ready_v3 = 0;
   std::uint64_t v3_spooled = 0;
@@ -141,7 +151,9 @@ class SessionSpool {
 
   // Claims and returns the oldest ready session, or nullopt when the
   // spool is empty. The on-disk file is renamed into claimed/ before
-  // the session is returned and unlinked once the load succeeded.
+  // the session is returned and unlinked once it is loaded; a session
+  // that fails its checksum is destroyed and counted (corrupt_discarded)
+  // and the next one is claimed instead.
   std::optional<proto::PrecomputedSession> take();
 
   // Protocol-v3 lane. v3 sessions are only servable from the OT pool
@@ -176,24 +188,43 @@ class SessionSpool {
   [[nodiscard]] const std::string& dir() const { return cfg_.dir; }
 
  private:
+  enum class Lane : std::uint8_t { kV2, kV3, kReusable };
+
   struct Entry {
     std::string name;       // file name within ready/
     std::uint64_t bytes = 0;
     std::string sha256_hex;
-    bool v3 = false;            // lane: v3 files carry a lineage column
+    Lane lane = Lane::kV2;
     std::uint64_t lineage = 0;  // pool lineage (v3 only)
-    bool reusable = false;      // lane: reus files carry key + evals
     std::string key;            // reusable cache key
     std::uint64_t evals = 0;    // MAC evaluations served (reusable only)
   };
+  using Index = std::deque<Entry>;
+  using WriteFn = std::function<void(const proto::SessionBytesFn&)>;
 
   void open_or_rebuild();
   void write_index_locked();
-  bool claim_locked(const Entry& e);  // ready/ -> claimed/, true if won
+  // The one commit: names the file, lets `write` emit its bytes into
+  // tmp/ (checksummed as they go, outside the lock), then under the lock
+  // renames it into ready/, runs `publish` (the lane's own step), and
+  // lists it in the index.
+  void commit(Entry e, const WriteFn& write,
+              const std::function<void(const Entry&)>& publish);
+  // The one claim: unlists the oldest entry of `lane` and renames its
+  // file ready/ -> claimed/; nullopt once the lane has nothing left.
+  std::optional<Entry> claim_oldest_locked(Lane lane);
+  // The one verified read: the file's bytes, or nullopt when it cannot
+  // be read or no longer matches e's checksum.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_verified(
+      const std::string& subdir, const Entry& e) const;
+  // Removes an entry from the index and its lane's counters.
+  Entry unlist_locked(Index::iterator it);
+  // Unlists an entry and deletes its ready/ file; returns the next entry.
+  Index::iterator destroy_locked(Index::iterator it);
 
   SpoolConfig cfg_;
   mutable std::mutex mu_;
-  std::deque<Entry> index_;  // oldest first
+  Index index_;  // oldest first
   struct Cached {
     std::string name;
     proto::PrecomputedSession session;

@@ -1,7 +1,8 @@
-// Precomputed garbling bank (Sec. 3's deployment model): sessions are
-// produced offline, served online with the exact wire format of the
-// on-demand garbler (the client cannot tell), sessions are single-use,
-// and labels differ across sessions.
+// Precomputed garbling (Sec. 3's deployment model): sessions are
+// produced offline by garble_session, served online with the exact wire
+// format of the on-demand garbler (the client cannot tell), and labels
+// differ across sessions. Single use of the stored sessions is the
+// spool's job (tests/spool_test.cpp).
 #include <gtest/gtest.h>
 
 #include "circuit/circuits.hpp"
@@ -43,14 +44,12 @@ std::uint64_t serve_session(const circuit::Circuit& c,
   return circuit::from_bits(out);
 }
 
-TEST(GarblingBank, ServedSessionComputesCorrectMac) {
+TEST(PrecomputedServing, ServedSessionComputesCorrectMac) {
   const MacOptions mac{8, 8, true};
   const circuit::Circuit c = circuit::make_mac_circuit(mac);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, /*rounds_per_session=*/6);
   SystemRandom rng(Block{3, 3});
-  bank.precompute(2, rng);
-  EXPECT_EQ(bank.stats().sessions_ready, 2u);
-  EXPECT_GT(bank.stats().stored_bytes, 0u);
+  PrecomputedSession session =
+      garble_session(c, gc::Scheme::kHalfGates, /*rounds=*/6, rng);
 
   crypto::Prg prg(Block{4, 4});
   std::vector<std::uint64_t> a(6), x(6);
@@ -60,56 +59,41 @@ TEST(GarblingBank, ServedSessionComputesCorrectMac) {
     x[i] = prg.next_u64() & 0xFF;
     expect = circuit::mac_reference(expect, a[i], x[i], mac);
   }
-  EXPECT_EQ(serve_session(c, bank.take_session(), a, x, 8), expect);
-  EXPECT_EQ(bank.stats().sessions_served, 1u);
-  EXPECT_EQ(bank.stats().sessions_ready, 1u);
+  EXPECT_EQ(serve_session(c, std::move(session), a, x, 8), expect);
 }
 
-TEST(GarblingBank, SessionsAreSingleUseAndExhaust) {
-  const circuit::Circuit c = circuit::make_millionaires_circuit(8);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, 1);
-  SystemRandom rng(Block{5, 5});
-  bank.precompute(1, rng);
-  (void)bank.take_session();
-  EXPECT_THROW((void)bank.take_session(), std::runtime_error);
-}
-
-TEST(GarblingBank, FreshLabelsPerSession) {
+TEST(PrecomputedServing, FreshLabelsPerSession) {
   // Sec. 3: "even if the model does not change, new labels are required
   // for every garbling operation to ensure security."
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, 1);
   SystemRandom rng(Block{6, 6});
-  bank.precompute(2, rng);
-  const auto s1 = bank.take_session();
-  const auto s2 = bank.take_session();
+  const auto s1 = garble_session(c, gc::Scheme::kHalfGates, 1, rng);
+  const auto s2 = garble_session(c, gc::Scheme::kHalfGates, 1, rng);
   EXPECT_NE(s1.delta, s2.delta);
   EXPECT_NE(s1.rounds[0].garbler_labels0[0], s2.rounds[0].garbler_labels0[0]);
   EXPECT_NE(s1.rounds[0].tables.tables[0], s2.rounds[0].tables.tables[0]);
 }
 
-TEST(GarblingBank, ServedSessionExhaustsAfterItsRounds) {
+TEST(PrecomputedServing, ServedSessionExhaustsAfterItsRounds) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(4);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, 1);
   SystemRandom rng(Block{7, 7});
-  bank.precompute(1, rng);
 
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   SystemRandom g_rng(Block{8, 1});
-  PrecomputedGarblerParty garbler(bank.take_session(), *g_ch, g_rng);
+  PrecomputedGarblerParty garbler(
+      garble_session(c, gc::Scheme::kHalfGates, 1, rng), *g_ch, g_rng);
   garbler.garble_and_send(to_bits(3, 4));
   EXPECT_THROW(garbler.garble_and_send(to_bits(3, 4)), std::runtime_error);
 }
 
-
-TEST(GarblingBank, FullyOfflineServingWithBeaverOt) {
+TEST(PrecomputedServing, FullyOfflineServingWithBeaverOt) {
   // Precomputed tables + precomputed OT: the online phase is transfer
   // and XOR only, and still decodes the right MAC.
   const MacOptions mac{8, 8, true};
   const circuit::Circuit c = circuit::make_mac_circuit(mac);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, 4);
   SystemRandom rng(Block{21, 1});
-  bank.precompute(1, rng);
+  PrecomputedSession session =
+      garble_session(c, gc::Scheme::kHalfGates, 4, rng);
 
   // Offline OT pool over base OT.
   auto [po_s, po_r] = MemoryChannel::create_pair();
@@ -123,7 +107,7 @@ TEST(GarblingBank, FullyOfflineServingWithBeaverOt) {
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   ot::PrecomputedOtSender ot_s(*g_ch, pool.sender_pairs);
   ot::PrecomputedOtReceiver ot_r(*e_ch, pool.choices, pool.received);
-  PrecomputedGarblerParty garbler(bank.take_session(), *g_ch, ot_s);
+  PrecomputedGarblerParty garbler(std::move(session), *g_ch, ot_s);
   EvaluatorParty evaluator(c, gc::Scheme::kHalfGates, *e_ch, ot_r);
 
   crypto::Prg prg(Block{22, 22});
@@ -141,14 +125,13 @@ TEST(GarblingBank, FullyOfflineServingWithBeaverOt) {
   EXPECT_EQ(circuit::from_bits(out), expect);
 }
 
-TEST(GarblingBank, MillionairesEndToEnd) {
+TEST(PrecomputedServing, MillionairesEndToEnd) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(16);
-  GarblingBank bank(c, gc::Scheme::kHalfGates, 1);
   SystemRandom rng(Block{9, 9});
-  bank.precompute(3, rng);
 
   const auto run = [&](std::uint64_t a, std::uint64_t b) {
-    return serve_session(c, bank.take_session(), {a}, {b}, 16) != 0;
+    return serve_session(c, garble_session(c, gc::Scheme::kHalfGates, 1, rng),
+                         {a}, {b}, 16) != 0;
   };
   EXPECT_TRUE(run(100, 200));
   EXPECT_FALSE(run(200, 100));

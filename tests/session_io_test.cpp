@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -25,10 +27,8 @@ using crypto::SystemRandom;
 
 PrecomputedSession make_session(const circuit::Circuit& c, std::size_t rounds,
                                 std::uint64_t seed) {
-  GarblingBank bank(c, gc::Scheme::kHalfGates, rounds);
   SystemRandom rng(Block{seed, 0x10});
-  bank.precompute(1, rng);
-  return bank.take_session();
+  return garble_session(c, gc::Scheme::kHalfGates, rounds, rng);
 }
 
 TEST(SessionIo, RoundTripIsExact) {
@@ -85,9 +85,15 @@ TEST(SessionIo, ReloadedSessionServesCorrectly) {
 TEST(SessionIo, FileRoundTrip) {
   const circuit::Circuit c = circuit::make_millionaires_circuit(8);
   const PrecomputedSession s = make_session(c, 1, 5);
-  const std::string path = "/tmp/maxel_session_test.bin";
-  save_session_file(s, path);
-  const PrecomputedSession t = load_session_file(path);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "maxel_session_test.mxs";
+  {
+    std::ofstream os(path, std::ios::binary);
+    save_session(s, os);
+  }
+  std::ifstream is(path, std::ios::binary);
+  const PrecomputedSession t = load_session(is);
+  std::filesystem::remove(path);
   EXPECT_EQ(t.delta, s.delta);
   EXPECT_EQ(t.rounds.size(), 1u);
 }
@@ -114,8 +120,8 @@ TEST(SessionIo, SerializeParseMatchesStreamCodec) {
 }
 
 TEST(SessionIo, RejectsCorruptStreams) {
-  EXPECT_THROW((void)load_session_file("/nonexistent/nope.bin"),
-               std::runtime_error);
+  std::ifstream missing("/nonexistent/nope.bin", std::ios::binary);
+  EXPECT_THROW((void)load_session(missing), std::runtime_error);
 
   std::stringstream bad_magic("NOTASESSIONxxxxxxxxxxxxxxxxx");
   EXPECT_THROW((void)load_session(bad_magic), std::runtime_error);

@@ -7,12 +7,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "gc/v3.hpp"
 #include "net/reusable_service.hpp"
 #include "proto/precompute.hpp"
@@ -59,6 +62,21 @@ class SpoolTest : public ::testing::Test {
     const std::vector<std::vector<bool>> g_bits(2, std::vector<bool>(8));
     return proto::garble_session_v3(c, an, g_bits, delta, rng.next_block(),
                                     rng);
+  }
+
+  // Flips one byte at `offset` of a file in place.
+  static void flip_byte(const fs::path& f, std::streamoff offset) {
+    std::fstream io(f, std::ios::in | std::ios::out | std::ios::binary);
+    char b;
+    io.seekg(offset);
+    io.get(b);
+    b = static_cast<char>(b ^ 0x40);
+    io.seekp(offset);
+    io.put(b);
+  }
+
+  static std::string sha_hex(const std::vector<std::uint8_t>& b) {
+    return crypto::Sha256::hex(crypto::Sha256::hash(b.data(), b.size()));
   }
 
   SpoolConfig config(std::size_t cache = 0) {
@@ -163,18 +181,34 @@ TEST_F(SpoolTest, DetectsBitRotViaChecksum) {
   SessionSpool spool(config());
   spool.put(make_session(3));
   // Flip one byte in the middle of the stored session file.
-  const fs::path f = dir_ / "ready" / "sess-000000000000.mxs";
-  std::fstream io(f, std::ios::in | std::ios::out | std::ios::binary);
-  io.seekp(200);
-  char b;
-  io.seekg(200);
-  io.get(b);
-  b = static_cast<char>(b ^ 0x40);
-  io.seekp(200);
-  io.put(b);
-  io.close();
+  flip_byte(dir_ / "ready" / "sess-000000000000.mxs", 200);
 
-  EXPECT_THROW((void)spool.take(), std::runtime_error);
+  // The rotted session is destroyed and counted, never returned.
+  EXPECT_FALSE(spool.take().has_value());
+  EXPECT_EQ(spool.stats().corrupt_discarded, 1u);
+  EXPECT_FALSE(fs::exists(dir_ / "ready" / "sess-000000000000.mxs"));
+  EXPECT_FALSE(fs::exists(dir_ / "claimed" / "sess-000000000000.mxs"));
+
+  // A good session behind it is served.
+  const auto want = proto::serialize_session(make_session(4));
+  spool.put(make_session(4));
+  const auto got = spool.take();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(proto::serialize_session(*got), want);
+  EXPECT_EQ(spool.stats().sessions_claimed, 1u);
+}
+
+TEST_F(SpoolTest, TakeSkipsARottedSessionToTheNextReady) {
+  SessionSpool spool(config());
+  spool.put(make_session(5));
+  spool.put(make_session(6));
+  flip_byte(dir_ / "ready" / "sess-000000000000.mxs", 100);
+  const auto got = spool.take();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(proto::serialize_session(*got),
+            proto::serialize_session(make_session(6)));
+  EXPECT_EQ(spool.stats().corrupt_discarded, 1u);
+  EXPECT_EQ(spool.ready(), 0u);
 }
 
 TEST_F(SpoolTest, RamCacheServesWithoutDiskRead) {
@@ -251,6 +285,100 @@ TEST_F(SpoolTest, V3LaneSurvivesRestartAndBurnsForeignLineage) {
   // And the burn is durable: nothing reappears on the next open.
   SessionSpool reopened(config());
   EXPECT_EQ(reopened.ready_v3(), 0u);
+}
+
+TEST_F(SpoolTest, V3LaneNeverReturnsABitRottedSession) {
+  SessionSpool spool(config());
+  const auto s = make_v3_session(30, Block{0x5, 0x6});
+  spool.put_v3(s);
+  flip_byte(dir_ / "ready" / "v3ss-000000000000.mx3", 64);
+
+  EXPECT_FALSE(spool.take_v3(s.pool_lineage).has_value());
+  EXPECT_EQ(spool.stats().corrupt_discarded, 1u);
+  EXPECT_EQ(spool.stats().v3_claimed, 0u);
+  EXPECT_FALSE(fs::exists(dir_ / "ready" / "v3ss-000000000000.mx3"));
+  EXPECT_FALSE(fs::exists(dir_ / "claimed" / "v3ss-000000000000.mx3"));
+
+  // A good session put after it is served.
+  const auto good = make_v3_session(31, Block{0x5, 0x6});
+  spool.put_v3(good);
+  const auto got = spool.take_v3(good.pool_lineage);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(proto::serialize_session_v3(*got),
+            proto::serialize_session_v3(good));
+}
+
+TEST_F(SpoolTest, V3LineageIsRecoveredWhenTheIndexIsLost) {
+  const auto s = make_v3_session(40, Block{0x7, 0x8});
+  {
+    SessionSpool spool(config());
+    spool.put_v3(s);
+    spool.put_v3(make_v3_session(41, Block{0x7, 0x8}));
+  }
+  // The second file no longer parses: its header is gone.
+  {
+    std::ofstream os(dir_ / "ready" / "v3ss-000000000001.mx3",
+                     std::ios::binary | std::ios::trunc);
+    os << "not a v3 session";
+  }
+  fs::remove(dir_ / "spool.idx");
+
+  SessionSpool spool(config());
+  // The lineage column came back from the file itself; the unparsable
+  // file was destroyed on open rather than ever offered.
+  EXPECT_EQ(spool.ready_v3(), 1u);
+  EXPECT_FALSE(fs::exists(dir_ / "ready" / "v3ss-000000000001.mx3"));
+  const auto got = spool.take_v3(s.pool_lineage);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(proto::serialize_session_v3(*got), proto::serialize_session_v3(s));
+  EXPECT_EQ(spool.stats().v3_lineage_discarded, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// On-disk format pin: file names, index lines and the SUM line. A spool
+// written by an older build must keep opening and serving every lane.
+
+TEST_F(SpoolTest, IndexFormatIsPinnedAndReopensEveryLane) {
+  const proto::PrecomputedSession v2 = make_session(50);
+  const proto::PrecomputedSessionV3 v3 = make_v3_session(51, Block{0x9, 0xA});
+  const std::vector<std::uint8_t> v2_bytes = proto::serialize_session(v2);
+  const std::vector<std::uint8_t> v3_bytes = proto::serialize_session_v3(v3);
+  const std::vector<std::uint8_t> blob(40, 0x5C);
+  {
+    SessionSpool spool(config());
+    spool.put(make_session(50));
+    spool.put_v3(v3);
+    spool.put_reusable("0123456789abcdef-8", blob);
+    spool.add_reusable_evaluations("0123456789abcdef-8", 7);
+  }
+
+  const std::string body =
+      "MXSPOOL1\n"
+      "sess-000000000000.mxs " + std::to_string(v2_bytes.size()) + " " +
+      sha_hex(v2_bytes) + "\n"
+      "v3ss-000000000001.mx3 " + std::to_string(v3_bytes.size()) + " " +
+      sha_hex(v3_bytes) + " " + std::to_string(v3.pool_lineage) + "\n"
+      "reus-000000000002.mxr " + std::to_string(blob.size()) + " " +
+      sha_hex(blob) + " 0123456789abcdef-8 7\n";
+  const std::string want =
+      body + "SUM " +
+      sha_hex(std::vector<std::uint8_t>(body.begin(), body.end())) + "\n";
+  std::ifstream is(dir_ / "spool.idx", std::ios::binary);
+  const std::string idx((std::istreambuf_iterator<char>(is)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(idx, want);
+
+  SessionSpool spool(config());
+  EXPECT_EQ(spool.ready(), 1u);
+  EXPECT_EQ(spool.ready_v3(), 1u);
+  const auto got_v2 = spool.take();
+  ASSERT_TRUE(got_v2.has_value());
+  EXPECT_EQ(proto::serialize_session(*got_v2), v2_bytes);
+  const auto got_v3 = spool.take_v3(v3.pool_lineage);
+  ASSERT_TRUE(got_v3.has_value());
+  EXPECT_EQ(proto::serialize_session_v3(*got_v3), v3_bytes);
+  EXPECT_EQ(spool.fetch_reusable("0123456789abcdef-8"), blob);
+  EXPECT_EQ(spool.stats().reusable_evaluations, 7u);
 }
 
 // ---------------------------------------------------------------------------

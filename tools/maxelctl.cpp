@@ -9,9 +9,6 @@
 //   maxelctl simulate [--bits N] [--rounds M]
 //       Run the cycle-accurate accelerator, verify against the software
 //       evaluator, print the architecture statistics.
-//   maxelctl bank [--bits N] [--rounds M] [--sessions K] [--out PREFIX]
-//       Precompute garbling sessions and store them on disk (Fig. 1's
-//       host-side store).
 //   maxelctl bench-mac [--bits N] [--rounds M]
 //       Measure software garbling throughput on this machine.
 //   maxelctl serve / maxelctl connect
@@ -32,8 +29,10 @@
 //       bounds stalled clients with --idle-timeout MS — see
 //       src/net/fault.hpp and docs/TESTING.md.
 //   maxelctl spool --dir DIR [--fill K --bits N --rounds M]
-//       Inspect or pre-fill a disk session spool; lists resident
-//       reusable artifacts (key, size, evaluations served, lineage).
+//       Inspect or pre-fill a disk session spool, Fig. 1's host-side
+//       store of pre-garbled sessions (--fill garbles K sessions into
+//       ready/); lists resident reusable artifacts (key, size,
+//       evaluations served, lineage).
 //   maxelctl spool purge --lane reusable --dir DIR
 //       Retire the spool's reusable artifacts (forces a re-garble).
 //   maxelctl stats --metrics FILE
@@ -54,8 +53,6 @@
 #include "gc/garble.hpp"
 #include "evloop/ev_service.hpp"
 #include "net/service.hpp"
-#include "proto/precompute.hpp"
-#include "proto/session_io.hpp"
 #include "svc/service.hpp"
 
 namespace {
@@ -68,7 +65,6 @@ struct Args {
   std::size_t bits = 32;
   std::size_t length = 4;
   std::size_t rounds = 16;
-  std::size_t sessions = 1;
   bool serial = false;
   bool optimize = false;
   std::string in;
@@ -78,12 +74,14 @@ struct Args {
 int usage() {
   std::fprintf(stderr,
                "usage: maxelctl "
-               "<circuit|stats|simulate|bank|bench-mac|serve|connect|spool> "
+               "<circuit|stats|simulate|bench-mac|serve|connect|spool> "
                "[options]\n"
                "  serve: the sharded session broker ([--spool DIR] "
                "[--shards N]);\n"
                "  session modes via --mode "
                "{precomputed|stream|v3|reusable} on serve and connect\n"
+               "  spool --dir DIR [--fill K --bits N --rounds M] pre-garbles "
+               "sessions into a spool;\n"
                "  spool purge --lane reusable --dir DIR retires cached "
                "reusable artifacts\n"
                "  see the header of tools/maxelctl.cpp\n");
@@ -116,10 +114,6 @@ bool parse(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v) return false;
       a.rounds = static_cast<std::size_t>(std::stoul(v));
-    } else if (flag == "--sessions") {
-      const char* v = next();
-      if (!v) return false;
-      a.sessions = static_cast<std::size_t>(std::stoul(v));
     } else if (flag == "--serial") {
       a.serial = true;
     } else if (flag == "--optimize") {
@@ -259,24 +253,6 @@ int cmd_simulate(const Args& a) {
   return decoded == expect ? 0 : 1;
 }
 
-int cmd_bank(const Args& a) {
-  const circuit::MacOptions mac{a.bits, a.bits, true};
-  const circuit::Circuit c = circuit::make_mac_circuit(mac);
-  proto::GarblingBank bank(c, gc::Scheme::kHalfGates, a.rounds);
-  crypto::SystemRandom rng;
-  bank.precompute(a.sessions, rng);
-  const std::string prefix = a.out.empty() ? "maxel_session" : a.out;
-  for (std::size_t i = 0; i < a.sessions; ++i) {
-    const std::string path = prefix + "_" + std::to_string(i) + ".bin";
-    proto::save_session_file(bank.take_session(), path);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  std::printf("%zu sessions x %zu rounds (b=%zu), %.1f KB total stored\n",
-              a.sessions, a.rounds, a.bits,
-              static_cast<double>(bank.stats().stored_bytes) / 1024.0);
-  return 0;
-}
-
 int cmd_bench_mac(const Args& a) {
   const auto r = baseline::measure_software_mac(a.bits, a.rounds);
   std::printf("software garbling, b=%zu: %.2f us/MAC, %.0f MAC/s "
@@ -316,7 +292,6 @@ int main(int argc, char** argv) {
     if (a.command == "circuit") return cmd_circuit(a);
     if (a.command == "stats") return cmd_stats(a);
     if (a.command == "simulate") return cmd_simulate(a);
-    if (a.command == "bank") return cmd_bank(a);
     if (a.command == "bench-mac") return cmd_bench_mac(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "maxelctl: %s\n", e.what());
