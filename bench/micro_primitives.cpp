@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) of every primitive on the garbling
 // hot path: AES, the fixed-key hash, gate garbling and evaluation per
-// scheme, the n-wide half-gates kernels, whole-MAC garbling, base OT and
-// IKNP extension, and the MAXelerator simulator itself.
+// scheme, the n-wide half-gates kernels, whole-MAC garbling (v2 and v3),
+// base OT and IKNP extension, and the MAXelerator simulator itself.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "baseline/tinygarble.hpp"
 #include "circuit/circuits.hpp"
@@ -12,6 +15,7 @@
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
+#include "gc/v3.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
@@ -150,6 +154,66 @@ void BM_GarbleMacRound(benchmark::State& state) {
   state.counters["ANDs"] = static_cast<double>(c.and_count());
 }
 BENCHMARK(BM_GarbleMacRound)->Arg(8)->Arg(16)->Arg(32);
+
+// One v3 round of the served b=16 MAC: the wave-batched V3Garbler, then
+// V3Evaluator on garbled rounds in order. Items are rounds.
+constexpr std::size_t kV3Bits = 16;
+
+void BM_V3GarbleRound(benchmark::State& state) {
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{kV3Bits, kV3Bits, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  crypto::SystemRandom rng(Block{kV3Bits, 5});
+  gc::V3Garbler g(c, an, crypto::random_delta(rng), rng.next_block(), rng);
+  crypto::Prg bits(Block{kV3Bits, 6});
+  const std::vector<bool> a = bits.bits(c.garbler_inputs.size());
+  for (auto _ : state) {
+    auto m = g.garble_round(a);
+    benchmark::DoNotOptimize(m.rows.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["ANDs"] = static_cast<double>(c.and_count());
+}
+BENCHMARK(BM_V3GarbleRound);
+
+void BM_V3EvalRound(benchmark::State& state) {
+  constexpr std::size_t kRounds = 32;
+  const circuit::Circuit c =
+      circuit::make_mac_circuit(circuit::MacOptions{kV3Bits, kV3Bits, true});
+  const gc::V3Analysis an = gc::analyze_v3(c);
+  crypto::SystemRandom rng(Block{kV3Bits, 7});
+  const Block label_seed = rng.next_block();
+  gc::V3Garbler g(c, an, crypto::random_delta(rng), label_seed, rng);
+  crypto::Prg bits(Block{kV3Bits, 8});
+  std::vector<gc::V3RoundMaterial> rounds;
+  std::vector<std::vector<bool>> x_bits;
+  std::vector<std::vector<Block>> x_labels;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    rounds.push_back(g.garble_round(bits.bits(c.garbler_inputs.size())));
+    x_bits.push_back(bits.bits(c.evaluator_inputs.size()));
+    std::vector<Block> labels;
+    for (std::size_t i = 0; i < x_bits[r].size(); ++i)
+      labels.push_back(x_bits[r][i] ? rounds[r].evaluator_pairs[i].second
+                                    : rounds[r].evaluator_pairs[i].first);
+    x_labels.push_back(std::move(labels));
+  }
+  auto ev = std::make_unique<gc::V3Evaluator>(c, an, label_seed);
+  std::size_t r = 0;
+  for (auto _ : state) {
+    if (r == kRounds) {  // a fresh session over the same rounds
+      state.PauseTiming();
+      ev = std::make_unique<gc::V3Evaluator>(c, an, label_seed);
+      r = 0;
+      state.ResumeTiming();
+    }
+    auto out = ev->eval_round(rounds[r].rows, x_bits[r], x_labels[r]);
+    benchmark::DoNotOptimize(out.data());
+    ++r;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["ANDs"] = static_cast<double>(c.and_count());
+}
+BENCHMARK(BM_V3EvalRound);
 
 void BM_MaxeleratorSimRound(benchmark::State& state) {
   const auto b = static_cast<std::size_t>(state.range(0));

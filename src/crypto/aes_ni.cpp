@@ -56,8 +56,12 @@ inline void encrypt_w(const __m128i rk[11], const Block* in, Block* out) {
 
 }  // namespace
 
-void aesni_encrypt_blocks(const std::uint8_t rk_bytes[176], const Block* in,
-                          Block* out, std::size_t n) {
+// Pinned to a 64-byte boundary: with the function's offset mod 64 left
+// to the linker, unrelated code growing elsewhere in the binary moved
+// perfbench conv_pool throughput by ~12% (same code, other placement).
+__attribute__((aligned(64))) void aesni_encrypt_blocks(
+    const std::uint8_t rk_bytes[176], const Block* in, Block* out,
+    std::size_t n) {
   __m128i rk[11];
   for (int i = 0; i < 11; ++i)
     rk[i] = _mm_loadu_si128(

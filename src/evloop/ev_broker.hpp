@@ -101,7 +101,11 @@ struct EvBrokerConfig {
   std::uint64_t demo_seed = 7;
 
   std::size_t shards = 2;     // event-loop threads (>= 1)
-  int listen_backlog = 1024;  // deep enough for 10k-client connect bursts
+  // Accept queue per shard listener, capped by net.core.somaxconn (4096
+  // on current kernels). A full queue drops the SYN and the client waits
+  // out a 1 s retransmit: 1024 overflowed about 2000 times per run under
+  // fig_broker_scaling's 4096-connection burst, 4096 holds it.
+  int listen_backlog = 4096;
 
   std::string spool_dir;  // required (`serve` makes a temporary one)
   std::size_t spool_low_watermark = 2;

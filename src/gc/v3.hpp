@@ -45,9 +45,19 @@
 // v3 requires Scheme::kHalfGates (kFull gates are vanilla half-gates
 // tables, so a v3 session interoperates gate-for-gate with the v2
 // garbler on the full gates).
+//
+// Both sides walk the circuit's AND-depth wave program (plan_waves,
+// built once per analysis): wave k runs its free gates, then stages
+// every hash of its non-free gates — 4/2/2/1 per kFull/kGenHalf/
+// kEvalHalf/kKnownOut gate garbled, 2/1/1/1 evaluated — as one
+// GcHash::hash_masked_batch, and each gate writes or reads its rows at
+// its precomputed offset in the netlist-order row stream. The seed
+// labels of the constants, bound garbler inputs and round-0 state are
+// one batch of their own ahead of the first wave.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -81,6 +91,11 @@ struct V3Analysis {
   std::vector<GateClass> cls;        // per gate, netlist order
   std::vector<std::uint8_t> known;   // per wire: bit0 garbler, bit1 evaluator
   std::vector<bool> late;            // garbler inputs bound after garbling
+  // plan_waves of the circuit, shared by every copy of the analysis.
+  std::shared_ptr<const WavePlan> waves;
+  // First row of waves->and_gates[i] in the round's row stream (unused
+  // for kKnownOut gates, which ship none).
+  std::vector<std::uint32_t> row_offset;
   std::size_t rows_per_round = 0;    // total ciphertext blocks per round
   std::size_t n_full = 0;
   std::size_t n_gen_half = 0;
@@ -113,10 +128,13 @@ class V3Garbler {
  public:
   // delta must have lsb 1 (point-and-permute). In the pooled-OT protocol
   // it equals the server's IKNP sender secret, so evaluator-input labels
-  // transfer as one block each (see ot/pool.hpp).
+  // transfer as one block each (see ot/pool.hpp). The garbler keeps
+  // references to `c` and `an`, which must outlive it.
   V3Garbler(const circuit::Circuit& c, const V3Analysis& an,
             const Block& delta, const Block& label_seed,
             crypto::RandomSource& rng);
+  V3Garbler(const circuit::Circuit&, V3Analysis&&, const Block&,
+            const Block&, crypto::RandomSource&) = delete;
 
   // Garbles the next round. garbler_bits are this round's values of the
   // non-late garbler inputs (full input count; late positions ignored).
@@ -131,15 +149,15 @@ class V3Garbler {
   [[nodiscard]] Block late_input_label(std::size_t i, bool v) const;
 
  private:
-  [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const;
-
   const circuit::Circuit& circ_;
-  V3Analysis an_;
+  const V3Analysis& an_;
   Block delta_;
+  Block delta2_;  // 2 * delta: 2(x ^ delta) == 2x ^ delta2_
   Block label_seed_;
+  Block seed2_;   // 2 * label_seed: the seed labels' hash input
   crypto::RandomSource& rng_;
   crypto::GcHash hash_;
-  GateGarbler gg_;                  // kFull gates: vanilla half gates
+  std::vector<Block> m_, h_;        // one batch of hash inputs / outputs
   std::vector<Block> labels0_;      // current round, 0-labels per wire
   std::vector<Block> next_state0_;  // DFF d-wire 0-labels for next round
   std::vector<std::uint8_t> gval_;  // garbler-known plaintext values
@@ -148,8 +166,10 @@ class V3Garbler {
 
 class V3Evaluator {
  public:
+  // Keeps references to `c` and `an`, which must outlive it.
   V3Evaluator(const circuit::Circuit& c, const V3Analysis& an,
               const Block& label_seed);
+  V3Evaluator(const circuit::Circuit&, V3Analysis&&, const Block&) = delete;
 
   // Evaluates one round; returns active output labels. evaluator_bits
   // are this round's evaluator input values (drives the kEvalHalf branch
@@ -165,13 +185,17 @@ class V3Evaluator {
   [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
 
  private:
-  [[nodiscard]] Block seed_label(circuit::Wire w, std::uint64_t round) const;
-
   const circuit::Circuit& circ_;
-  V3Analysis an_;
-  Block label_seed_;
+  const V3Analysis& an_;
+  Block seed2_;  // 2 * label_seed
   crypto::GcHash hash_;
-  GateGarbler gg_;                 // evaluation ignores delta
+  std::vector<Block> m_, h_;       // one batch of hash inputs / outputs
+  // Late-bound garbler inputs: wire -> index in the late mask's set bits
+  // (kNotLate otherwise; empty when nothing is late-bound), and the
+  // eval_round call that last corrected each one.
+  std::vector<std::uint32_t> late_of_wire_;
+  std::vector<std::uint64_t> corrected_in_;
+  std::uint64_t calls_ = 0;
   std::vector<Block> state_;       // DFF active labels carried across rounds
   std::vector<Block> active_;      // per-round wire buffer
   std::vector<std::uint8_t> eval_;  // evaluator-known plaintext values

@@ -12,12 +12,15 @@
 #include <vector>
 
 #include "circuit/circuits.hpp"
+#include "circuit/fp16.hpp"
+#include "circuit/optimize.hpp"
 #include "core/hw_netlist.hpp"
 #include "core/maxelerator.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
 #include "gc/scheme.hpp"
+#include "gc/v3.hpp"
 
 namespace maxel {
 namespace {
@@ -170,6 +173,64 @@ std::uint64_t all_garbler_digest() {
   return h.value();
 }
 
+// A 32-round v3 session: every round's rows, evaluator OT pairs, output
+// map and late-input 0-labels, and the evaluator's active output labels
+// (late-bound inputs arrive as corrections, as on the serve path).
+std::uint64_t v3_digest(const circuit::Circuit& c,
+                        const std::vector<bool>& late, std::uint64_t seed) {
+  constexpr int kRounds = 32;
+  SystemRandom rng(Block{seed, 0x73});
+  const gc::V3Analysis an = gc::analyze_v3(c, late);
+  const Block label_seed = rng.next_block();
+  gc::V3Garbler g(c, an, crypto::random_delta(rng), label_seed, rng);
+  gc::V3Evaluator ev(c, an, label_seed);
+  crypto::Prg inputs(Block{seed, 0x1C});
+
+  Fnv h;
+  for (int r = 0; r < kRounds; ++r) {
+    const auto gbits = inputs.bits(c.garbler_inputs.size());
+    const auto ebits = inputs.bits(c.evaluator_inputs.size());
+    const gc::V3RoundMaterial m = g.garble_round(gbits);
+    h.add(m.rows);
+    for (const auto& [m0, m1] : m.evaluator_pairs) {
+      h.add(m0);
+      h.add(m1);
+    }
+    for (const bool bit : m.output_map) h.add(bit ? 1u : 0u);
+    h.add(m.late_labels0);
+    std::vector<std::pair<std::uint32_t, Block>> corrections;
+    for (std::size_t i = 0; i < late.size(); ++i)
+      if (late[i])
+        corrections.emplace_back(c.garbler_inputs[i],
+                                 g.late_input_label(i, gbits[i]));
+    std::vector<Block> e(ebits.size());
+    for (std::size_t i = 0; i < e.size(); ++i)
+      e[i] = ebits[i] ? m.evaluator_pairs[i].second
+                      : m.evaluator_pairs[i].first;
+    h.add(ev.eval_round(m.rows, ebits, e, corrections));
+  }
+  return h.value();
+}
+
+// The b=16, b=8 and fp16 MACs, the locality-scheduled b=16 MAC, and the
+// b=16 MAC with every third garbler input late-bound.
+std::uint64_t all_v3_digest() {
+  const circuit::Circuit mac16 =
+      circuit::make_mac_circuit(circuit::MacOptions{16, 16, true});
+  const circuit::Circuit mac8 =
+      circuit::make_mac_circuit(circuit::MacOptions{8, 8, true});
+  const circuit::Circuit fp16 = circuit::make_fp16_mac_circuit();
+  const circuit::Circuit scheduled = circuit::schedule_for_locality(mac16);
+  std::vector<bool> late(mac16.garbler_inputs.size(), false);
+  for (std::size_t i = 0; i < late.size(); i += 3) late[i] = true;
+  Fnv h;
+  std::uint64_t seed = 1;
+  for (const circuit::Circuit* c : {&mac16, &mac8, &fp16, &scheduled})
+    h.add(v3_digest(*c, {}, seed++));
+  h.add(v3_digest(mac16, late, seed));
+  return h.value();
+}
+
 // Recorded on the gate-at-a-time simulator and garbler.
 constexpr std::uint64_t kPinnedSim[] = {
     0x63F94FED2CFF8513ull,  // b=8
@@ -177,6 +238,9 @@ constexpr std::uint64_t kPinnedSim[] = {
     0xDDF58F2C48960ED5ull,  // b=32
 };
 constexpr std::uint64_t kPinnedGarbler = 0xB7F2C866EE345279ull;
+// Recorded on the gate-at-a-time V3Garbler and V3Evaluator, before they
+// walked the wave plan.
+constexpr std::uint64_t kPinnedV3 = 0x3A90FC1F0F46A576ull;
 
 std::string hex(std::uint64_t v) {
   char buf[32];
@@ -318,6 +382,10 @@ TEST(PinnedDigest, SimulatorTablesLabelsAndStats) {
 
 TEST(PinnedDigest, CircuitGarblerBothLayoutsAllSchemes) {
   EXPECT_EQ(hex(all_garbler_digest()), hex(kPinnedGarbler));
+}
+
+TEST(PinnedDigest, V3SessionsRowsLabelsAndOutputs) {
+  EXPECT_EQ(hex(all_v3_digest()), hex(kPinnedV3));
 }
 
 }  // namespace

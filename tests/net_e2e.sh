@@ -43,6 +43,9 @@ trap '[ -n "$spid" ] && kill "$spid" 2>/dev/null; rm -rf "$dir"' EXIT
 
 server_cmd=("$SERVER")
 start_server() {  # start_server <extra server args...>
+  # Create the log before the background job opens it, so the first
+  # poll below cannot race the job's redirection.
+  : >"$dir/server.log"
   TMPDIR="$dir/tmp" "${server_cmd[@]}" --port 0 --bits 8 "$@" \
             --json "$dir/server.json" >"$dir/server.log" 2>&1 &
   spid=$!
