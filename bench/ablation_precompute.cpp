@@ -44,7 +44,8 @@ int main() {
     crypto::SystemRandom e_rng;
     proto::ProtocolOptions opt;
     opt.ot = proto::OtMode::kBase;
-    proto::GarblerParty garbler(c, opt, *g_ch, g_rng);
+    proto::GarblerParty garbler(proto::RoundSource(c, opt.scheme, g_rng),
+                                *g_ch, g_rng, opt.ot);
     proto::EvaluatorParty evaluator(c, opt, *e_ch, e_rng);
     const auto t0 = Clock::now();
     std::vector<bool> out;
@@ -81,8 +82,8 @@ int main() {
     auto [g_ch, e_ch] = proto::MemoryChannel::create_pair();
     crypto::SystemRandom g_rng;
     crypto::SystemRandom e_rng;
-    proto::PrecomputedGarblerParty garbler(std::move(store[t]), *g_ch,
-                                           g_rng);
+    proto::GarblerParty garbler(proto::RoundSource(std::move(store[t])),
+                                *g_ch, g_rng, proto::OtMode::kBase);
     proto::ProtocolOptions opt;
     opt.ot = proto::OtMode::kBase;
     proto::EvaluatorParty evaluator(c, opt, *e_ch, e_rng);
@@ -114,8 +115,8 @@ int main() {
     auto [g_ch, e_ch] = proto::MemoryChannel::create_pair();
     ot::PrecomputedOtSender ot_s(*g_ch, pool.sender_pairs);
     ot::PrecomputedOtReceiver ot_r(*e_ch, pool.choices, pool.received);
-    proto::PrecomputedGarblerParty garbler(std::move(store[trials + t]),
-                                           *g_ch, ot_s);
+    proto::GarblerParty garbler(
+        proto::RoundSource(std::move(store[trials + t])), *g_ch, ot_s);
     proto::EvaluatorParty evaluator(c, gc::Scheme::kHalfGates, *e_ch, ot_r);
     const auto t0 = Clock::now();
     std::vector<bool> out;

@@ -55,7 +55,8 @@ double stream_mb_per_sec(proto::Channel& tx, proto::Channel& rx) {
   const auto batch = make_batch();
   const auto t0 = Clock::now();
   std::thread receiver([&] {
-    for (std::size_t i = 0; i < kBatches; ++i) (void)rx.recv_blocks();
+    for (std::size_t i = 0; i < kBatches; ++i)
+      (void)rx.recv_blocks(kBatchBlocks);
     rx.send_u64(1);
     rx.flush();
   });
@@ -74,7 +75,7 @@ double stream_mb_per_sec_single(proto::Channel& tx, proto::Channel& rx) {
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < kBatches; ++i) {
     tx.send_blocks(batch);
-    (void)rx.recv_blocks();
+    (void)rx.recv_blocks(kBatchBlocks);
   }
   const double bytes =
       static_cast<double>(kBatches * (8 + 16 * kBatchBlocks));
@@ -132,7 +133,8 @@ ProtocolResult protocol_bench(proto::Channel& g_ch, proto::Channel& e_ch,
   const auto t0 = Clock::now();
   std::thread garbler([&] {
     crypto::SystemRandom rng(crypto::Block{1, 2});
-    proto::GarblerParty g(c, opt, g_ch, rng);
+    proto::GarblerParty g(proto::RoundSource(c, opt.scheme, rng), g_ch, rng,
+                          opt.ot);
     g.setup_step2();
     g.setup_step4();
     for (std::size_t r = 0; r < rounds; ++r) {

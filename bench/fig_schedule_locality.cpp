@@ -36,7 +36,6 @@
 #include "circuit/optimize.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include "gc/streaming_evaluator.hpp"
 #include "hwsim/schedule.hpp"
 
 namespace {
@@ -57,7 +56,8 @@ MacMeasure run_macs(const circuit::Circuit& c, const circuit::MacOptions& opt,
   crypto::SystemRandom input_rng(crypto::Block{seed, 0xda7aULL});
   gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng,
                              gc::LabelLayout::kPlanned);
-  gc::StreamingEvaluator evaluator(c, gc::Scheme::kHalfGates);
+  gc::CircuitEvaluator evaluator(c, gc::Scheme::kHalfGates,
+                                 gc::LabelLayout::kPlanned);
 
   const std::size_t b = opt.bit_width;
   const std::uint64_t mask = b >= 64 ? ~0ull : ((1ull << b) - 1);
@@ -112,8 +112,10 @@ Variant analyze(circuit::Circuit circ, std::size_t mac_width) {
   Variant v;
   v.peak_live = circuit::peak_live_wires(circ);
   v.sum_live = circuit::sum_live_ranges(circ);
-  v.garbler_buffer_bytes = gc::plan_garbling(circ).num_slots * 16;
-  v.evaluator_buffer_bytes = gc::plan_evaluation(circ).num_slots * 16;
+  v.garbler_buffer_bytes =
+      circuit::plan_slots(circ, circuit::SlotPins::kProtocol).num_slots * 16;
+  v.evaluator_buffer_bytes =
+      circuit::plan_slots(circ, circuit::SlotPins::kNone).num_slots * 16;
   v.hw = hwsim::schedule_gate_program(
       circ, hwsim::CoreConfig::for_mac_width(mac_width));
   v.circ = std::move(circ);

@@ -43,18 +43,6 @@ Liveness analyze_liveness(const Circuit& c) {
   return lv;
 }
 
-// Wires defined at round start, before any gate runs. Mirrors the order
-// gc::plan_evaluation seeds its slot allocator with.
-std::vector<Wire> round_start_wires(const Circuit& c) {
-  std::vector<Wire> initial = {kConstZero, kConstOne};
-  initial.insert(initial.end(), c.garbler_inputs.begin(),
-                 c.garbler_inputs.end());
-  initial.insert(initial.end(), c.evaluator_inputs.begin(),
-                 c.evaluator_inputs.end());
-  for (const auto& d : c.dffs) initial.push_back(d.q);
-  return initial;
-}
-
 // One round of greedy list scheduling under a live-set objective: at
 // every step, among the ready gates (all operands already emitted or
 // round-start wires), emit the one whose issue shrinks the live set the
@@ -196,30 +184,69 @@ Circuit reorder_gates(const Circuit& c,
 
 }  // namespace
 
-std::size_t peak_live_wires(const Circuit& c) {
+SlotPlan plan_slots(const Circuit& c, SlotPins pins) {
   const Liveness lv = analyze_liveness(c);
-  // Release-before-define, exactly like gc::plan_evaluation's slot
-  // allocator, so this count equals a planned label buffer's slot count.
-  std::size_t live = 0;
-  std::size_t peak = 0;
-  const auto initial = round_start_wires(c);
-  live += initial.size();
-  peak = std::max(peak, live);
-  for (const auto w : initial) {
-    if (lv.last_use[w] == kNever && !lv.persist[w]) --live;
+  std::vector<char> pinned(c.num_wires, 0);
+  if (pins == SlotPins::kProtocol) {
+    pinned[kConstZero] = 1;
+    pinned[kConstOne] = 1;
+    for (const auto w : c.garbler_inputs) pinned[w] = 1;
+    for (const auto w : c.evaluator_inputs) pinned[w] = 1;
+    for (const auto& d : c.dffs) pinned[d.q] = pinned[d.d] = 1;
+    for (const auto w : c.outputs) pinned[w] = 1;
   }
+  const auto dies_at = [&](Wire w, std::int64_t idx) {
+    return lv.last_use[w] == idx && !lv.persist[w] && !pinned[w];
+  };
+
+  SlotPlan plan;
+  plan.num_wires = c.num_wires;
+  plan.slot_of_wire.assign(c.num_wires, UINT32_MAX);
+  std::vector<std::uint32_t> free_slots;
+  std::uint32_t next_slot = 0;
+  const auto define = [&](Wire w) {
+    if (plan.slot_of_wire[w] != UINT32_MAX) return;  // pinned, pre-placed
+    if (free_slots.empty()) {
+      plan.slot_of_wire[w] = next_slot++;
+    } else {
+      plan.slot_of_wire[w] = free_slots.back();
+      free_slots.pop_back();
+    }
+  };
+  const auto release = [&](Wire w) {
+    free_slots.push_back(plan.slot_of_wire[w]);
+  };
+
+  for (Wire w = 0; w < c.num_wires; ++w)
+    if (pinned[w]) plan.slot_of_wire[w] = next_slot++;
+
+  // Round start: constants, inputs, state wires; the unused ones free
+  // their slots at once.
+  std::vector<Wire> initial = {kConstZero, kConstOne};
+  initial.insert(initial.end(), c.garbler_inputs.begin(),
+                 c.garbler_inputs.end());
+  initial.insert(initial.end(), c.evaluator_inputs.begin(),
+                 c.evaluator_inputs.end());
+  for (const auto& d : c.dffs) initial.push_back(d.q);
+  for (const auto w : initial) define(w);
+  for (const auto w : initial)
+    if (dies_at(w, kNever)) release(w);
+
   for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
     const auto& g = c.gates[idx];
-    if (lv.last_use[g.a] == static_cast<std::int64_t>(idx) && !lv.persist[g.a])
-      --live;
-    if (g.b != g.a && lv.last_use[g.b] == static_cast<std::int64_t>(idx) &&
-        !lv.persist[g.b])
-      --live;
-    ++live;
-    peak = std::max(peak, live);
-    if (lv.last_use[g.out] == kNever && !lv.persist[g.out]) --live;
+    const auto i = static_cast<std::int64_t>(idx);
+    // Operands die here; a == b must free only once.
+    if (dies_at(g.a, i)) release(g.a);
+    if (g.b != g.a && dies_at(g.b, i)) release(g.b);
+    define(g.out);
+    if (dies_at(g.out, kNever)) release(g.out);
   }
-  return peak;
+  plan.num_slots = next_slot;
+  return plan;
+}
+
+std::size_t peak_live_wires(const Circuit& c) {
+  return plan_slots(c, SlotPins::kNone).num_slots;
 }
 
 std::uint64_t sum_live_ranges(const Circuit& c) {

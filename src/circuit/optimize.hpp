@@ -44,16 +44,51 @@ Circuit dead_code_eliminate(const Circuit& c, OptimizeStats* stats = nullptr);
 Circuit duplicate_gate_eliminate(const Circuit& c,
                                  OptimizeStats* stats = nullptr);
 
-// --- Wire-liveness accounting --------------------------------------------
+// --- Wire liveness and label slots -----------------------------------------
 //
 // A wire is live from its definition (round start for constants, inputs
 // and DFF state wires; its producing gate otherwise) until its last use.
 // Outputs and DFF next-state wires stay live to the end of the round.
-// The release-before-define convention matches gc::plan_evaluation, so
-// peak_live_wires(c) equals the slot count of a planned label buffer:
-// peak_live_wires(c) * 16 bytes is the working set of one garbled round.
+//
+// plan_slots is the one liveness slot allocator: every planned label
+// buffer (gc::LabelLayout::kPlanned, garbler and evaluator) and
+// peak_live_wires come from it. Each wire takes a 16-byte slot at its
+// definition and returns it at its last use, before the gate's output
+// takes one (release-before-define), so the slot count of an unpinned
+// plan is the peak number of simultaneously live wires.
 
-// Maximum number of simultaneously live wires across the round.
+// Which wires keep their own slot for the whole round.
+enum class SlotPins : std::uint8_t {
+  kNone,      // every slot recycles after its wire's last use (evaluator)
+  kProtocol,  // the constants, both input vectors, DFF q/d wires and the
+              // outputs take the first slots, in wire order, and keep
+              // them: the garbler answers label queries about them after
+              // the round is garbled
+};
+
+struct SlotPlan {
+  // Slot per wire. Empty is the identity plan: one slot per wire, a
+  // dense label buffer.
+  std::vector<std::uint32_t> slot_of_wire;
+  std::size_t num_slots = 0;
+  std::size_t num_wires = 0;
+
+  [[nodiscard]] std::uint32_t slot(Wire w) const {
+    return slot_of_wire.empty() ? w : slot_of_wire[w];
+  }
+  // Working-set compression against one slot per wire.
+  [[nodiscard]] double compression() const {
+    return num_slots == 0 ? 0.0
+                          : static_cast<double>(num_wires) /
+                                static_cast<double>(num_slots);
+  }
+};
+
+SlotPlan plan_slots(const Circuit& c, SlotPins pins);
+
+// Maximum number of simultaneously live wires across the round: the
+// slot count of plan_slots(c, SlotPins::kNone), so peak_live_wires(c) *
+// 16 bytes is the evaluator's working set for one round.
 std::size_t peak_live_wires(const Circuit& c);
 
 // Sum over wires of (last use - definition), in gate positions; the

@@ -26,6 +26,7 @@
 #include "evloop/poller.hpp"
 #include "ot/pool.hpp"
 #include "proto/channel.hpp"
+#include "proto/protocol.hpp"
 #include "proto/reusable_io.hpp"
 
 namespace maxel::evloop {
@@ -118,7 +119,7 @@ void ReusableLoadgen::prepare(const LoadgenConfig& cfg) {
     net::ClientHello hello;
     hello.version = net::kProtocolVersionV3;
     hello.scheme = static_cast<std::uint8_t>(expect_.scheme);
-    hello.ot = static_cast<std::uint8_t>(net::OtChoice::kBase);
+    hello.ot = static_cast<std::uint8_t>(proto::OtMode::kBase);
     hello.mode = static_cast<std::uint8_t>(net::SessionMode::kReusable);
     hello.bit_width = expect_.bit_width;
     hello.rounds = expect_.rounds_per_session;

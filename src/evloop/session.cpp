@@ -314,7 +314,7 @@ void EvSession::finish_handshake() {
   hello_ = hs.hello;
   ext_ = hs.ext;
   v3_ = hs.version == net::kProtocolVersionV3;
-  iknp_ = hello_.ot == static_cast<std::uint8_t>(net::OtChoice::kIknp);
+  iknp_ = hello_.ot == static_cast<std::uint8_t>(proto::OtMode::kIknp);
   n_eval_ = ctx_->circ->evaluator_inputs.size();
   stats_.handshake_seconds += seconds_since(t_accept_);
   t_session_ = Clock::now();
@@ -362,10 +362,9 @@ void EvSession::init_precomputed() {
           : session.rounds.size() * session.rounds.front().tables.tables.size();
   stats_.peak_resident_tables =
       std::max(stats_.peak_resident_tables, resident);
-  party_ = std::make_unique<proto::PrecomputedGarblerParty>(
-      std::move(session), ch_, rng_,
-      iknp_ ? proto::PrecomputedOtMode::kIknp
-            : proto::PrecomputedOtMode::kBase);
+  party_ = std::make_unique<proto::GarblerParty>(
+      proto::RoundSource(std::move(session)), ch_, rng_,
+      iknp_ ? proto::OtMode::kIknp : proto::OtMode::kBase);
   if (iknp_) {
     ot_begin();
     state_ = St::kOtSetup2;

@@ -40,6 +40,7 @@
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/precompute.hpp"
+#include "proto/protocol.hpp"
 
 namespace maxel::evloop {
 
@@ -207,7 +208,7 @@ class EvSession {
   std::size_t r_ = 0;  // rounds completed in the current mode's flow
 
   // Precomputed mode.
-  std::unique_ptr<proto::PrecomputedGarblerParty> party_;
+  std::unique_ptr<proto::GarblerParty> party_;
 
   // Stream mode: rounds are garbled inline, one chunk at a time, so
   // resident garbled state is one chunk.

@@ -11,66 +11,6 @@ using circuit::kConstOne;
 using circuit::kConstZero;
 using circuit::Wire;
 
-GarblingPlan plan_garbling(const Circuit& c) {
-  constexpr std::int64_t kNever = -1;
-  std::vector<std::int64_t> last_use(c.num_wires, kNever);
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    last_use[c.gates[idx].a] = static_cast<std::int64_t>(idx);
-    last_use[c.gates[idx].b] = static_cast<std::int64_t>(idx);
-  }
-  // Pin every wire the garbler can be asked about after the round.
-  std::vector<char> pinned(c.num_wires, 0);
-  pinned[kConstZero] = 1;
-  pinned[kConstOne] = 1;
-  for (const auto w : c.garbler_inputs) pinned[w] = 1;
-  for (const auto w : c.evaluator_inputs) pinned[w] = 1;
-  for (const auto& d : c.dffs) {
-    pinned[d.q] = 1;
-    pinned[d.d] = 1;
-  }
-  for (const auto w : c.outputs) pinned[w] = 1;
-
-  GarblingPlan plan;
-  plan.num_wires = c.num_wires;
-  plan.slot_of_wire.assign(c.num_wires, UINT32_MAX);
-
-  std::vector<std::uint32_t> free_slots;
-  std::uint32_t next_slot = 0;
-  const auto define = [&](Wire w) {
-    if (plan.slot_of_wire[w] != UINT32_MAX) return;  // pinned, pre-placed
-    std::uint32_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = next_slot++;
-    }
-    plan.slot_of_wire[w] = slot;
-  };
-  const auto release = [&](Wire w) {
-    free_slots.push_back(plan.slot_of_wire[w]);
-  };
-
-  // Pinned wires first, in wire order, so their slots are stable and
-  // never recycled.
-  for (Wire w = 0; w < c.num_wires; ++w)
-    if (pinned[w]) plan.slot_of_wire[w] = next_slot++;
-
-  for (std::size_t idx = 0; idx < c.gates.size(); ++idx) {
-    const auto& g = c.gates[idx];
-    if (last_use[g.a] == static_cast<std::int64_t>(idx) && !pinned[g.a])
-      release(g.a);
-    if (g.b != g.a && last_use[g.b] == static_cast<std::int64_t>(idx) &&
-        !pinned[g.b])
-      release(g.b);
-    define(g.out);
-    if (last_use[g.out] == kNever && !pinned[g.out]) release(g.out);
-  }
-
-  plan.num_slots = next_slot;
-  return plan;
-}
-
 namespace {
 
 // Orders the gates by wave — wave[idx] is gate idx's wave, free gates
@@ -222,18 +162,21 @@ void eval_plan(const WavePlan& plan, const GateGarbler& gg,
 
 namespace {
 
-std::vector<std::uint32_t> layout_slots(const Circuit& c, LabelLayout layout) {
-  if (layout == LabelLayout::kDense) {
-    std::vector<std::uint32_t> identity(c.num_wires);
-    for (Wire w = 0; w < c.num_wires; ++w) identity[w] = w;
-    return identity;
-  }
-  return plan_garbling(c).slot_of_wire;
+// Slot plan of a label buffer: the identity when dense, else
+// circuit::plan_slots under the side's pins.
+circuit::SlotPlan layout_slots(const Circuit& c, LabelLayout layout,
+                               circuit::SlotPins pins) {
+  if (layout == LabelLayout::kPlanned) return circuit::plan_slots(c, pins);
+  circuit::SlotPlan dense;
+  dense.num_slots = dense.num_wires = c.num_wires;
+  return dense;
 }
 
-std::size_t layout_size(const Circuit& c, LabelLayout layout) {
-  return layout == LabelLayout::kDense ? c.num_wires
-                                       : plan_garbling(c).num_slots;
+// Gate program over a slot plan: AND-depth waves for a dense buffer,
+// netlist order over the slots for a planned one (see WavePlan).
+WavePlan layout_program(const Circuit& c, const circuit::SlotPlan& slots) {
+  return slots.slot_of_wire.empty() ? plan_waves(c)
+                                    : plan_netlist_order(c, slots.slot_of_wire);
 }
 
 }  // namespace
@@ -245,17 +188,14 @@ CircuitGarbler::CircuitGarbler(const Circuit& c, Scheme scheme,
       rng_(rng),
       delta_(crypto::random_delta(rng)),
       gg_(scheme, delta_),
-      layout_(layout),
-      slot_(layout_slots(c, layout)),
-      program_(layout == LabelLayout::kDense
-                   ? plan_waves(c)
-                   : plan_netlist_order(c, slot_)),
-      labels0_(layout_size(c, layout), Block::zero()),
+      slots_(layout_slots(c, layout, circuit::SlotPins::kProtocol)),
+      program_(layout_program(c, slots_)),
+      labels0_(slots_.num_slots, Block::zero()),
       next_state0_(c.dffs.size(), Block::zero()),
       initial_state_active_(c.dffs.size(), Block::zero()) {}
 
 const std::vector<Block>& CircuitGarbler::wire_labels0() const {
-  if (layout_ != LabelLayout::kDense)
+  if (!slots_.slot_of_wire.empty())
     throw std::logic_error(
         "wire_labels0: planned label buffers are slot-indexed; query "
         "label0(wire) instead");
@@ -342,14 +282,19 @@ bool CircuitGarbler::decode_output(std::size_t i, const Block& active) const {
   throw std::runtime_error("decode_output: label matches neither value");
 }
 
-CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme)
-    : CircuitEvaluator(c, scheme,
-                       std::make_shared<const WavePlan>(plan_waves(c))) {}
+CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme,
+                                   LabelLayout layout)
+    : circ_(c),
+      gg_(scheme, Block::zero()),
+      slots_(layout_slots(c, layout, circuit::SlotPins::kNone)),
+      plan_(std::make_shared<const WavePlan>(layout_program(c, slots_))),
+      state_(c.dffs.size()) {}
 
 CircuitEvaluator::CircuitEvaluator(const Circuit& c, Scheme scheme,
                                    std::shared_ptr<const WavePlan> plan)
     : circ_(c),
       gg_(scheme, Block::zero()),
+      slots_(layout_slots(c, LabelLayout::kDense, circuit::SlotPins::kNone)),
       plan_(std::move(plan)),
       state_(c.dffs.size()) {}
 
@@ -369,30 +314,30 @@ std::vector<Block> CircuitEvaluator::eval_round(
     throw std::invalid_argument("eval_round: label arity mismatch");
   }
 
-  // Reuse the wire buffer across rounds (sequential GC evaluates the
+  // Reuse the label buffer across rounds (sequential GC evaluates the
   // same netlist every round; reallocating it per round dominated the
-  // evaluator's time for small MAC netlists). Every wire is written
+  // evaluator's time for small MAC netlists). Every slot is written
   // before it is read — inputs/constants/state here, gate outputs in
-  // wave order below — so stale values never leak across rounds.
-  std::vector<Block>& active = active_;
-  active.resize(circ_.num_wires);
-  active[kConstZero] = fixed_labels[0];
-  active[kConstOne] = fixed_labels[1];
+  // plan order below — so stale values never leak across rounds.
+  active_.resize(slots_.num_slots);
+  const auto at = [this](Wire w) -> Block& { return active_[slots_.slot(w)]; };
+  at(kConstZero) = fixed_labels[0];
+  at(kConstOne) = fixed_labels[1];
   for (std::size_t i = 0; i < garbler_labels.size(); ++i)
-    active[circ_.garbler_inputs[i]] = garbler_labels[i];
+    at(circ_.garbler_inputs[i]) = garbler_labels[i];
   for (std::size_t i = 0; i < evaluator_labels.size(); ++i)
-    active[circ_.evaluator_inputs[i]] = evaluator_labels[i];
+    at(circ_.evaluator_inputs[i]) = evaluator_labels[i];
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
-    active[circ_.dffs[i].q] = state_[i];
+    at(circ_.dffs[i].q) = state_[i];
 
-  eval_plan(*plan_, gg_, tables, round_, active.data());
+  eval_plan(*plan_, gg_, tables, round_, active_.data());
 
   for (std::size_t i = 0; i < circ_.dffs.size(); ++i)
-    state_[i] = active[circ_.dffs[i].d];
+    state_[i] = at(circ_.dffs[i].d);
   ++round_;
 
   std::vector<Block> out(circ_.outputs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = active[circ_.outputs[i]];
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = at(circ_.outputs[i]);
   return out;
 }
 

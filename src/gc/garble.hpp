@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "circuit/optimize.hpp"
 #include "crypto/rng.hpp"
 #include "gc/scheme.hpp"
 
@@ -74,7 +75,7 @@ struct RoundMaterial {
 //    k + 1, which reads only wires of depth <= k.
 //  * plan_netlist_order — netlist order with one AND per window, for
 //    slot-planned buffers (the planned CircuitGarbler and
-//    StreamingEvaluator). Their slot plans recycle a slot at the wire's
+//    CircuitEvaluator). Their slot plans recycle a slot at the wire's
 //    last use in netlist order, and wave order would keep more wires
 //    live (peak 111 -> 129 on the b=16 MAC, 253 -> 339 on the
 //    locality-scheduled b=32 MAC). Windows of consecutive independent
@@ -118,36 +119,25 @@ void garble_plan(const WavePlan& plan, const GateGarbler& gg,
 void eval_plan(const WavePlan& plan, const GateGarbler& gg,
                const RoundTables& tables, std::uint64_t round, Block* labels);
 
-// Label storage layout of a CircuitGarbler.
+// Label storage layout of a CircuitGarbler or CircuitEvaluator.
 //
 //  * kDense   — one slot per wire (index == wire id), the historical
-//    layout; wire_labels0() exposes the whole buffer.
-//  * kPlanned — slots are allocated by liveness (plan_garbling below),
-//    so the buffer holds the circuit's live width, not its wire count.
-//    On a locality-scheduled netlist (circuit::schedule_for_locality)
-//    the buffer shrinks further and gate operands cluster in a
-//    recently-touched window, which is what the streaming garbler wants
-//    for its per-chunk working set.
+//    layout; the garbler's wire_labels0() exposes the whole buffer.
+//  * kPlanned — slots come from circuit::plan_slots, so the buffer holds
+//    the circuit's live width, not its wire count. The garbler pins the
+//    protocol-visible wires (SlotPins::kProtocol), because it answers
+//    label queries (garbler_input_label, evaluator_input_labels,
+//    output_map, ...) after the round is garbled; the evaluator pins
+//    none, so its buffer is circuit::peak_live_wires slots — the
+//    memory-bounded client of Sec. 3 ("the evaluator may not have enough
+//    memory to store all the labels together"). On a locality-scheduled
+//    netlist (circuit::schedule_for_locality) the buffers shrink further
+//    and gate operands cluster in a recently-touched window.
 //
 // The two layouts are bit-for-bit equivalent: they draw RNG labels in
-// the same order and hash the same values, so tables, input labels and
-// output maps are identical (asserted by tests).
+// the same order and hash the same values, so tables, input labels,
+// output maps and evaluated labels are identical (asserted by tests).
 enum class LabelLayout { kDense, kPlanned };
-
-// Slot plan for a garbler-side label buffer. Mirrors plan_evaluation's
-// free-list allocation, but pins every protocol-visible wire — the
-// constants, both input vectors, DFF q/d wires and the outputs — for
-// the whole round, because the garbler answers label queries
-// (garbler_input_label, evaluator_input_labels, output_map, ...) after
-// the round is garbled. num_slots therefore exceeds the circuit's
-// peak_live_wires by at most the number of pinned wires.
-struct GarblingPlan {
-  std::vector<std::uint32_t> slot_of_wire;
-  std::size_t num_slots = 0;
-  std::size_t num_wires = 0;
-};
-
-GarblingPlan plan_garbling(const circuit::Circuit& c);
 
 class CircuitGarbler {
  public:
@@ -189,21 +179,20 @@ class CircuitGarbler {
   [[nodiscard]] const std::vector<Block>& wire_labels0() const;
   // 0-label of one wire in the last garbled round, any layout.
   [[nodiscard]] const Block& label0(circuit::Wire w) const {
-    return labels0_[slot_[w]];
+    return labels0_[slots_.slot(w)];
   }
 
-  [[nodiscard]] LabelLayout layout() const { return layout_; }
   // Size of the per-round label buffer — num_wires slots when dense,
-  // the garbling plan's live width when planned. x16 for bytes.
+  // the pinned slot plan's width when planned. x16 for bytes.
   [[nodiscard]] std::size_t label_slots() const { return labels0_.size(); }
   [[nodiscard]] std::size_t label_buffer_bytes() const {
     return labels0_.size() * sizeof(Block);
   }
 
  private:
-  [[nodiscard]] Block& l0(circuit::Wire w) { return labels0_[slot_[w]]; }
+  [[nodiscard]] Block& l0(circuit::Wire w) { return labels0_[slots_.slot(w)]; }
   [[nodiscard]] const Block& l0(circuit::Wire w) const {
-    return labels0_[slot_[w]];
+    return labels0_[slots_.slot(w)];
   }
 
   const circuit::Circuit& circ_;
@@ -211,8 +200,7 @@ class CircuitGarbler {
   crypto::RandomSource& rng_;
   Block delta_;
   GateGarbler gg_;
-  LabelLayout layout_;
-  std::vector<std::uint32_t> slot_;  // wire -> label slot (identity if dense)
+  circuit::SlotPlan slots_;          // identity if dense
   WavePlan program_;                 // wave order if dense, else netlist
   std::vector<Block> labels0_;       // current round, 0-labels per slot
   std::vector<Block> next_state0_;   // d-wire 0-labels carried to next round
@@ -222,9 +210,11 @@ class CircuitGarbler {
 
 class CircuitEvaluator {
  public:
-  CircuitEvaluator(const circuit::Circuit& c, Scheme scheme);
-  // Shares a prebuilt plan_waves(c) read-only, so evaluators of one
-  // circuit (one per matmul cell, one per pool core) skip rebuilding it.
+  CircuitEvaluator(const circuit::Circuit& c, Scheme scheme,
+                   LabelLayout layout = LabelLayout::kDense);
+  // Dense layout sharing a prebuilt plan_waves(c) read-only, so
+  // evaluators of one circuit (one per matmul cell, one per pool core)
+  // skip rebuilding it.
   CircuitEvaluator(const circuit::Circuit& c, Scheme scheme,
                    std::shared_ptr<const WavePlan> plan);
 
@@ -238,13 +228,19 @@ class CircuitEvaluator {
                                 const std::vector<Block>& fixed_labels);
 
   [[nodiscard]] std::uint64_t rounds_evaluated() const { return round_; }
+  // Size of the per-round label buffer (the client's working set):
+  // num_wires slots when dense, circuit::peak_live_wires when planned.
+  [[nodiscard]] std::size_t label_buffer_bytes() const {
+    return slots_.num_slots * sizeof(Block);
+  }
 
  private:
   const circuit::Circuit& circ_;
   GateGarbler gg_;  // evaluation does not use delta; zero is fine
+  circuit::SlotPlan slots_;  // identity if dense
   std::shared_ptr<const WavePlan> plan_;
   std::vector<Block> state_;
-  std::vector<Block> active_;  // per-round wire buffer, reused across rounds
+  std::vector<Block> active_;  // per-round label buffer, reused across rounds
   std::uint64_t round_ = 0;
 };
 

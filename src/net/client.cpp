@@ -10,13 +10,13 @@
 #include "circuit/circuits.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include "gc/streaming_evaluator.hpp"
 #include "net/demo_inputs.hpp"
 #include "net/fault.hpp"
 #include "net/reusable_service.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/chunk_io.hpp"
+#include "proto/round_io.hpp"
 
 namespace maxel::net {
 
@@ -302,7 +302,7 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
   std::unique_ptr<ot::BaseOtReceiver> base_ot;
   std::unique_ptr<ot::IknpReceiver> iknp;
   ot::OtReceiver* ot = nullptr;
-  if (cfg.ot == OtChoice::kIknp) {
+  if (cfg.ot == proto::OtMode::kIknp) {
     iknp = std::make_unique<ot::IknpReceiver>(*ch, rng);
     const auto t0 = Clock::now();
     iknp->setup_step1();
@@ -314,72 +314,55 @@ ClientStats run_session_attempt(const ClientConfig& cfg,
     ot = base_ot.get();
   }
 
-  gc::StreamingEvaluator evaluator(circ, cfg.scheme);
-  stats.working_set_bytes = evaluator.working_set_bytes();
+  gc::CircuitEvaluator evaluator(circ, cfg.scheme, gc::LabelLayout::kPlanned);
+  stats.working_set_bytes = evaluator.label_buffer_bytes();
 
+  // Round material arrives as one v2 round record per round, or in
+  // stream mode as chunk frames of several rounds (proto::chunk_io);
+  // either way each round then runs OT, eval, decode.
   DemoInputStream x_inputs(cfg.demo_seed, kEvaluatorStream, cfg.bits);
+  std::vector<proto::WireRound> received;
+  std::size_t next = 0;  // first received round not yet evaluated
   std::vector<bool> decoded;
-  if (cfg.mode == SessionMode::kStream) {
-    // Stream mode: rounds arrive in chunk frames (proto::chunk_io); OT
-    // still runs once per round after each chunk lands.
-    std::uint32_t done = 0;
-    while (done < stats.rounds) {
-      auto t0 = Clock::now();
-      proto::WireChunk wc = proto::recv_chunk(*ch);
-      stats.transfer_seconds += seconds_since(t0);
-      if (done == 0) stats.first_table_seconds = seconds_since(t_total);
-      if (wc.scheme != cfg.scheme)
-        throw NetError("stream chunk: scheme mismatch");
-      if (wc.first_round != done || wc.rounds.empty() ||
-          done + wc.rounds.size() > stats.rounds)
-        throw NetError("stream chunk: rounds out of order or overrun");
-      if (done == 0)
-        evaluator.set_initial_state_labels(wc.initial_state_labels);
-      for (const auto& wr : wc.rounds) {
-        t0 = Clock::now();
-        ot->recv_phase1(x_inputs.next_bits());
-        const std::vector<crypto::Block> my_labels = ot->recv_phase2();
-        stats.ot_seconds += seconds_since(t0);
-
-        t0 = Clock::now();
-        const auto out_labels = evaluator.eval_round(
-            wr.tables, wr.garbler_labels, my_labels, wr.fixed_labels);
-        decoded = gc::decode_with_map(out_labels, wr.output_map);
-        stats.eval_seconds += seconds_since(t0);
-        ++done;
+  for (std::uint32_t r = 0; r < stats.rounds; ++r) {
+    if (next == received.size()) {
+      const auto t0 = Clock::now();
+      std::vector<crypto::Block> state;
+      received.clear();
+      next = 0;
+      if (cfg.mode == SessionMode::kStream) {
+        proto::WireChunk wc = proto::recv_chunk(*ch);
+        if (wc.scheme != cfg.scheme)
+          throw NetError("stream chunk: scheme mismatch");
+        if (wc.first_round != r || wc.rounds.empty() ||
+            r + wc.rounds.size() > stats.rounds)
+          throw NetError("stream chunk: rounds out of order or overrun");
+        received = std::move(wc.rounds);
+        state = std::move(wc.initial_state_labels);
+        ++stats.chunks_received;
+      } else {
+        received.push_back(proto::recv_round(*ch, circ, cfg.scheme,
+                                             r == 0 ? &state : nullptr));
       }
-      ++stats.chunks_received;
-    }
-  } else {
-    std::vector<std::uint8_t> table_buf;
-    for (std::uint32_t r = 0; r < stats.rounds; ++r) {
-      // Round material, same wire order GarblerParty/PrecomputedGarblerParty
-      // send it: tables, garbler labels, fixed labels, initial state
-      // (round 0 only), output decode map.
-      auto t0 = Clock::now();
-      const std::size_t n_tables = ch->recv_u64();
-      table_buf.resize(n_tables * gc::bytes_per_and(cfg.scheme));
-      ch->recv_bytes(table_buf.data(), table_buf.size());
-      const gc::RoundTables tables =
-          gc::tables_from_bytes(table_buf.data(), n_tables, cfg.scheme);
-      const std::vector<crypto::Block> garbler_labels = ch->recv_blocks();
-      const std::vector<crypto::Block> fixed_labels = ch->recv_blocks();
-      if (r == 0) evaluator.set_initial_state_labels(ch->recv_blocks());
-      const std::vector<bool> output_map = ch->recv_bits();
       stats.transfer_seconds += seconds_since(t0);
-      if (r == 0) stats.first_table_seconds = seconds_since(t_total);
-
-      t0 = Clock::now();
-      ot->recv_phase1(x_inputs.next_bits());
-      const std::vector<crypto::Block> my_labels = ot->recv_phase2();
-      stats.ot_seconds += seconds_since(t0);
-
-      t0 = Clock::now();
-      const auto out_labels = evaluator.eval_round(tables, garbler_labels,
-                                                   my_labels, fixed_labels);
-      decoded = gc::decode_with_map(out_labels, output_map);
-      stats.eval_seconds += seconds_since(t0);
+      if (r == 0) {
+        stats.first_table_seconds = seconds_since(t_total);
+        evaluator.set_initial_state_labels(std::move(state));
+      }
     }
+
+    auto t0 = Clock::now();
+    ot->recv_phase1(x_inputs.next_bits());
+    const std::vector<crypto::Block> my_labels = ot->recv_phase2();
+    stats.ot_seconds += seconds_since(t0);
+
+    t0 = Clock::now();
+    const proto::WireRound& wr = received[next++];
+    decoded = gc::decode_with_map(
+        evaluator.eval_round(wr.tables, wr.garbler_labels, my_labels,
+                             wr.fixed_labels),
+        wr.output_map);
+    stats.eval_seconds += seconds_since(t0);
   }
 
   finish_stats(cfg, *ch, decoded, t_total, stats);

@@ -4,9 +4,9 @@
 // Connects to a maxel server, handshakes (version / scheme / bit width /
 // circuit fingerprint), then runs the session: per round it receives the
 // garbled tables and label material, obtains its input labels through OT
-// (base or IKNP), and evaluates with gc::StreamingEvaluator as the
-// tables arrive — the client's label working set is the circuit's live
-// width, never the whole wire count.
+// (base or IKNP), and evaluates on a planned-layout gc::CircuitEvaluator
+// as the tables arrive — the client's label working set is the
+// circuit's live width, never the whole wire count.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include "net/tcp_channel.hpp"
 #include "net/v3_service.hpp"
 #include "proto/channel.hpp"
+#include "proto/protocol.hpp"
 
 namespace maxel::net {
 
@@ -48,7 +49,7 @@ struct ClientConfig {
   std::uint16_t port = 7117;
   std::size_t bits = 16;
   gc::Scheme scheme = gc::Scheme::kHalfGates;
-  OtChoice ot = OtChoice::kIknp;
+  proto::OtMode ot = proto::OtMode::kIknp;
   // kStream: chunked delivery. kReusable: garble-once artifact over a
   // v3 hello (no v2 fallback; weaker garbler privacy — see
   // docs/SECURITY_MODELS.md).
@@ -87,7 +88,7 @@ struct ClientStats {
   std::uint64_t output_value = 0;  // decoded final-round accumulator
   bool checked = false;
   bool verified = false;
-  std::size_t working_set_bytes = 0;  // streaming evaluator peak label memory
+  std::size_t working_set_bytes = 0;  // evaluator label buffer (live width)
   std::uint64_t chunks_received = 0;  // stream mode: wire chunks consumed
   std::uint32_t protocol_used = kProtocolVersion;  // after any v2 fallback
   std::uint64_t setup_bytes = 0;  // v3: wire bytes before the first frame

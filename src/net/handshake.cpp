@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "proto/protocol.hpp"
 
 namespace maxel::net {
 
@@ -199,7 +200,7 @@ V23Handshake server_handshake_v23(proto::Channel& ch,
   if (h.scheme != static_cast<std::uint8_t>(ex.scheme))
     reject(RejectCode::kSchemeMismatch,
            std::string("server garbles ") + gc::scheme_name(ex.scheme));
-  if (h.ot > static_cast<std::uint8_t>(OtChoice::kIknp))
+  if (h.ot > static_cast<std::uint8_t>(proto::OtMode::kIknp))
     reject(RejectCode::kBadOtMode, "unknown OT mode");
   if (h.mode > static_cast<std::uint8_t>(SessionMode::kReusable))
     reject(RejectCode::kBadMode, "unknown session mode");

@@ -48,8 +48,6 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 // the final attempt, where falling back beats failing).
 inline constexpr std::uint32_t kProtocolVersionV3 = 3;
 
-enum class OtChoice : std::uint8_t { kBase = 0, kIknp = 1 };
-
 // How the session body is delivered after the accept. kPrecomputed is
 // the original per-round flow served from a stored session; kStream is
 // the garble-while-transfer pipeline: the server garbles on the fly and
@@ -77,7 +75,7 @@ struct ClientHello {
   std::uint64_t magic = kHelloMagic;
   std::uint32_t version = kProtocolVersion;
   std::uint8_t scheme = 0;    // gc::Scheme
-  std::uint8_t ot = 0;        // OtChoice
+  std::uint8_t ot = 0;        // proto::OtMode
   std::uint8_t mode = 0;      // SessionMode (was reserved before v2)
   std::uint32_t bit_width = 0;
   std::uint32_t rounds = 0;   // requested; server replies with actual

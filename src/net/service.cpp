@@ -82,8 +82,8 @@ int connect_command(int argc, char** argv) {
     }
     else if (flag == "--ot") {
       const char* v = p.value();
-      if (v && std::strcmp(v, "base") == 0) cfg.ot = OtChoice::kBase;
-      else if (v && std::strcmp(v, "iknp") == 0) cfg.ot = OtChoice::kIknp;
+      if (v && std::strcmp(v, "base") == 0) cfg.ot = proto::OtMode::kBase;
+      else if (v && std::strcmp(v, "iknp") == 0) cfg.ot = proto::OtMode::kIknp;
       else {
         std::fprintf(stderr, "bad --ot (base|iknp)\n");
         return 2;

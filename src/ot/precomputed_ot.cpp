@@ -33,9 +33,7 @@ void PrecomputedOtSender::send_phase2(
     const std::vector<std::pair<Block, Block>>& msgs) {
   if (msgs.size() != n_)
     throw std::invalid_argument("PrecomputedOtSender: count mismatch");
-  const std::vector<bool> d = ch_.recv_bits();
-  if (d.size() != n_)
-    throw std::runtime_error("PrecomputedOtSender: bad derandomization");
+  const std::vector<bool> d = ch_.recv_bits(n_, "derandomization bit");
   for (std::size_t i = 0; i < n_; ++i) {
     const auto& [r0, r1] = pairs_[used_ + i];
     const Block& rd = d[i] ? r1 : r0;

@@ -15,6 +15,7 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,13 @@
 namespace maxel::proto {
 
 using crypto::Block;
+
+// A count prefix that disagrees with the count its reader expects: a
+// corrupted or hostile record, caught before anything is allocated.
+class CountMismatchError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Channel {
  public:
@@ -59,6 +67,10 @@ class Channel {
   // is a free win, over a socket it is the difference between one
   // syscall and one per 16 bytes. The byte stream is identical to the
   // per-block encoding (u64 count, then 16 bytes per block).
+  //
+  // The receivers take the count the caller expects and throw
+  // CountMismatchError on any other prefix before allocating: a peer's
+  // count is never trusted to size a buffer.
   void send_blocks(const std::vector<Block>& v) {
     std::vector<std::uint8_t> buf(8 + 16 * v.size());
     const std::uint64_t n = v.size();
@@ -67,8 +79,9 @@ class Channel {
       v[i].to_bytes(buf.data() + 8 + 16 * i);
     send_bytes(buf.data(), buf.size());
   }
-  std::vector<Block> recv_blocks() {
-    const std::uint64_t n = recv_u64();
+  std::vector<Block> recv_blocks(std::uint64_t expect,
+                                 const char* what = "block") {
+    const std::uint64_t n = recv_count(expect, what);
     std::vector<Block> v(n);
     if (n != 0) {
       std::vector<std::uint8_t> buf(16 * n);
@@ -100,14 +113,24 @@ class Channel {
       if (bits[i]) buf[8 + i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
     send_bytes(buf.data(), buf.size());
   }
-  std::vector<bool> recv_bits() {
-    const std::uint64_t n = recv_u64();
+  std::vector<bool> recv_bits(std::uint64_t expect, const char* what = "bit") {
+    const std::uint64_t n = recv_count(expect, what);
     std::vector<std::uint8_t> packed((n + 7) / 8);
     if (!packed.empty()) recv_bytes(packed.data(), packed.size());
     std::vector<bool> bits(n);
     for (std::size_t i = 0; i < n; ++i)
       bits[i] = (packed[i / 8] >> (i % 8)) & 1u;
     return bits;
+  }
+
+  // Reads a u64 count prefix and checks it against `expect`.
+  std::uint64_t recv_count(std::uint64_t expect, const char* what) {
+    const std::uint64_t n = recv_u64();
+    if (n != expect)
+      throw CountMismatchError(std::string(what) + " count " +
+                               std::to_string(n) + ", expected " +
+                               std::to_string(expect));
+    return n;
   }
 
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }

@@ -144,7 +144,7 @@ WireChunk parse_chunk(const std::uint8_t* data, std::size_t n) {
   const std::uint64_t n_rounds = rd.count(kMaxChunkRounds, 0, "round");
   c.rounds.reserve(n_rounds);
   for (std::uint64_t r = 0; r < n_rounds; ++r) {
-    WireChunk::Round round;
+    WireRound round;
     const std::uint64_t n_tables =
         rd.count(kMaxChunkCount, rows * 16, "table");
     const std::size_t table_bytes = static_cast<std::size_t>(n_tables) *
@@ -190,15 +190,7 @@ WireChunk garble_chunk(
   wc.rounds.reserve(garbler_bits.size());
   for (const std::vector<bool>& a_bits : garbler_bits) {
     gc::RoundMaterial rm = g.garble_round_material();
-    WireChunk::Round wr;
-    wr.tables = std::move(rm.tables);
-    wr.garbler_labels.resize(a_bits.size());
-    for (std::size_t j = 0; j < a_bits.size(); ++j)
-      wr.garbler_labels[j] = a_bits[j] ? rm.garbler_labels0[j] ^ g.delta()
-                                       : rm.garbler_labels0[j];
-    wr.fixed_labels = std::move(rm.fixed_labels);
-    wr.output_map = std::move(rm.output_map);
-    wc.rounds.push_back(std::move(wr));
+    wc.rounds.push_back(select_round(rm, g.delta(), a_bits));
     evaluator_pairs.push_back(std::move(rm.evaluator_pairs));
   }
   // Round-0 state labels exist only once the first round is garbled.

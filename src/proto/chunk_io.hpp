@@ -3,13 +3,11 @@
 // material, framed as one record so the server can put a chunk on the
 // wire while the next one is still being garbled.
 //
-// A chunk deliberately carries only what the evaluator may see: the
-// garbled tables, the *active* garbler input labels (already selected
-// with the garbler's inputs), the active constant-wire labels and the
-// output color map — plus the round-0 DFF state labels on the first
-// chunk. The evaluator input label *pairs* never enter this codec; they
-// stay server-side and travel only through OT, exactly as in the
-// precomputed path.
+// A chunk deliberately carries only what the evaluator may see: one
+// WireRound (round_io.hpp — the v2 round record's fields) per round,
+// plus the round-0 DFF state labels on the first chunk. The evaluator
+// input label *pairs* never enter this codec; they stay server-side and
+// travel only through OT, exactly as in the per-round flow.
 //
 // Format (little-endian):
 //   magic "MXCHNK1\0" | scheme u8 | first_round u64 | n_rounds u64
@@ -34,6 +32,7 @@
 #include "gc/garble.hpp"
 #include "gc/scheme.hpp"
 #include "proto/channel.hpp"
+#include "proto/round_io.hpp"
 
 namespace maxel::proto {
 
@@ -54,15 +53,9 @@ inline constexpr std::uint64_t kMaxChunkWireBytes = 1u << 28;  // framed record
 
 // One streamed chunk as it crosses the wire (evaluator's view).
 struct WireChunk {
-  struct Round {
-    gc::RoundTables tables;
-    std::vector<crypto::Block> garbler_labels;  // active, pre-selected
-    std::vector<crypto::Block> fixed_labels;    // active const labels
-    std::vector<bool> output_map;
-  };
   std::uint64_t first_round = 0;
   gc::Scheme scheme = gc::Scheme::kHalfGates;
-  std::vector<Round> rounds;
+  std::vector<WireRound> rounds;
   std::vector<crypto::Block> initial_state_labels;  // chunk 0 only
 };
 

@@ -7,22 +7,19 @@
 // svc::SessionSpool is that host-side store: sessions of pre-garbled
 // rounds (tables, input label pairs, decode maps) produced offline;
 // serving a client consumes one session and only performs label
-// selection + OT + transfer online. Each session uses fresh labels —
-// reuse would break security, so a served session is destroyed.
+// selection + OT + transfer online — proto::GarblerParty serves it
+// through a stored RoundSource, with the same message flow as a live
+// garbler, so the client cannot tell the two apart. Each session uses
+// fresh labels — reuse would break security, so a served session is
+// destroyed.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "circuit/netlist.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include <memory>
-
-#include "ot/base_ot.hpp"
-#include "ot/iknp.hpp"
-#include "proto/channel.hpp"
 
 namespace maxel::proto {
 
@@ -44,43 +41,5 @@ struct PrecomputedSession {
 PrecomputedSession garble_session(const circuit::Circuit& c, gc::Scheme scheme,
                                   std::size_t rounds,
                                   crypto::RandomSource& rng);
-
-// Serves one stored session to an evaluator over a channel, performing
-// only online work: table/label transfer and OT. The counterpart is the
-// ordinary EvaluatorParty (the client cannot tell precomputed garbling
-// from on-demand garbling — same message flow).
-enum class PrecomputedOtMode { kBase, kIknp };
-
-class PrecomputedGarblerParty {
- public:
-  // Default: fresh base OT online.
-  PrecomputedGarblerParty(PrecomputedSession session, Channel& ch,
-                          crypto::RandomSource& rng);
-  // Explicit online OT choice: base OT or IKNP extension (the latter
-  // needs the setup steps below run against the peer's receiver).
-  PrecomputedGarblerParty(PrecomputedSession session, Channel& ch,
-                          crypto::RandomSource& rng, PrecomputedOtMode ot);
-  // Fully-offline variant: an external OT sender (e.g. a
-  // ot::PrecomputedOtSender over a Beaver pool) serves the labels, so the
-  // online phase is transfer + XOR only.
-  PrecomputedGarblerParty(PrecomputedSession session, Channel& ch,
-                          ot::OtSender& external_ot);
-
-  // IKNP setup steps owned by this side; no-ops under base/external OT.
-  void setup_step2();
-  void setup_step4();
-
-  void garble_and_send(const std::vector<bool>& garbler_bits);
-  void finish_ot();
-
- private:
-  PrecomputedSession session_;
-  Channel& ch_;
-  std::unique_ptr<ot::BaseOtSender> owned_ot_;
-  std::unique_ptr<ot::IknpSender> iknp_;
-  ot::OtSender* ot_ = nullptr;
-  std::size_t sent_rounds_ = 0;
-  std::size_t ot_rounds_ = 0;
-};
 
 }  // namespace maxel::proto

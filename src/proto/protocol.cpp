@@ -1,16 +1,39 @@
 #include "proto/protocol.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace maxel::proto {
 
 using crypto::Block;
 
-GarblerParty::GarblerParty(const circuit::Circuit& c,
-                           const ProtocolOptions& opt, Channel& ch,
-                           crypto::RandomSource& rng)
-    : circ_(c), opt_(opt), ch_(ch), garbler_(c, opt.scheme, rng) {
-  if (opt.ot == OtMode::kIknp) {
+RoundSource::RoundSource(PrecomputedSession stored)
+    : session_(std::move(stored)) {}
+
+RoundSource::RoundSource(const circuit::Circuit& c, gc::Scheme scheme,
+                         crypto::RandomSource& rng)
+    : live_(std::make_unique<gc::CircuitGarbler>(c, scheme, rng)) {
+  session_.scheme = scheme;
+  session_.delta = live_->delta();
+  session_.rounds.resize(1);
+}
+
+gc::RoundMaterial& RoundSource::next() {
+  if (live_) {
+    session_.rounds.front() = live_->garble_round_material();
+    if (served_++ == 0)
+      session_.initial_state_labels = live_->initial_state_labels();
+    return session_.rounds.front();
+  }
+  if (served_ >= session_.rounds.size())
+    throw std::runtime_error("RoundSource: session exhausted");
+  return session_.rounds[served_++];
+}
+
+GarblerParty::GarblerParty(RoundSource rounds, Channel& ch,
+                           crypto::RandomSource& rng, OtMode ot)
+    : rounds_(std::move(rounds)), ch_(ch) {
+  if (ot == OtMode::kIknp) {
     iknp_ = std::make_unique<ot::IknpSender>(ch, rng);
     ot_ = iknp_.get();
   } else {
@@ -18,6 +41,10 @@ GarblerParty::GarblerParty(const circuit::Circuit& c,
     ot_ = base_ot_.get();
   }
 }
+
+GarblerParty::GarblerParty(RoundSource rounds, Channel& ch,
+                           ot::OtSender& external_ot)
+    : rounds_(std::move(rounds)), ch_(ch), ot_(&external_ot) {}
 
 void GarblerParty::setup_step2() {
   if (iknp_) iknp_->setup_step2();
@@ -27,37 +54,20 @@ void GarblerParty::setup_step4() {
 }
 
 void GarblerParty::garble_and_send(const std::vector<bool>& garbler_bits) {
-  if (garbler_bits.size() != circ_.garbler_inputs.size())
-    throw std::invalid_argument("garble_and_send: input arity mismatch");
-  const bool first_round = garbler_.rounds_garbled() == 0;
-  const gc::RoundTables tables = garbler_.garble_round();
-
-  // Garbled tables (the payload MAXelerator streams over PCIe), as one
-  // contiguous buffer — a single syscall on socket transports.
-  ch_.send_u64(tables.tables.size());
-  std::vector<std::uint8_t> buf(tables.byte_size(opt_.scheme));
-  gc::tables_to_bytes(tables, opt_.scheme, buf.data());
-  ch_.send_bytes(buf.data(), buf.size());
-
-  // Garbler-side input labels and the fixed/constant wire labels.
-  std::vector<Block> g_labels(garbler_bits.size());
-  for (std::size_t i = 0; i < garbler_bits.size(); ++i)
-    g_labels[i] = garbler_.garbler_input_label(i, garbler_bits[i]);
-  ch_.send_blocks(g_labels);
-  ch_.send_blocks(garbler_.fixed_wire_labels());
-  if (first_round) ch_.send_blocks(garbler_.initial_state_labels());
-
-  // Output decode map (point-and-permute color bits).
-  ch_.send_bits(garbler_.output_map());
-
-  ot_->send_phase1(circ_.evaluator_inputs.size());
+  const bool first_round = rounds_.served() == 0;
+  gc::RoundMaterial& m = rounds_.next();
+  send_round(ch_, rounds_.scheme(),
+             select_round(m, rounds_.delta(), garbler_bits),
+             first_round ? &rounds_.initial_state_labels() : nullptr);
+  ot_->send_phase1(m.evaluator_pairs.size());
+  ot_round_ = &m;
 }
 
 void GarblerParty::finish_ot() {
-  std::vector<std::pair<Block, Block>> pairs(circ_.evaluator_inputs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i)
-    pairs[i] = garbler_.evaluator_input_labels(i);
-  ot_->send_phase2(pairs);
+  if (ot_round_ == nullptr)
+    throw std::logic_error("GarblerParty: finish_ot before garble_and_send");
+  ot_->send_phase2(ot_round_->evaluator_pairs);
+  ot_round_ = nullptr;
 }
 
 EvaluatorParty::EvaluatorParty(const circuit::Circuit& c,
@@ -90,28 +100,22 @@ void EvaluatorParty::receive_and_choose(
   if (evaluator_bits.size() != circ_.evaluator_inputs.size())
     throw std::invalid_argument("receive_and_choose: input arity mismatch");
 
-  const std::size_t n_tables = ch_.recv_u64();
-  std::vector<std::uint8_t> buf(n_tables *
-                                gc::bytes_per_and(opt_.scheme));
-  ch_.recv_bytes(buf.data(), buf.size());
-  tables_ = gc::tables_from_bytes(buf.data(), n_tables, opt_.scheme);
-
-  garbler_labels_ = ch_.recv_blocks();
-  fixed_labels_ = ch_.recv_blocks();
+  std::vector<Block> state;
+  round_ = recv_round(ch_, circ_, opt_.scheme,
+                      state_initialized_ ? nullptr : &state);
   if (!state_initialized_) {
-    evaluator_.set_initial_state_labels(ch_.recv_blocks());
+    evaluator_.set_initial_state_labels(std::move(state));
     state_initialized_ = true;
   }
-  output_map_ = ch_.recv_bits();
 
   ot_->recv_phase1(evaluator_bits);
 }
 
 std::vector<bool> EvaluatorParty::evaluate_round() {
   const std::vector<Block> e_labels = ot_->recv_phase2();
-  const auto out_labels =
-      evaluator_.eval_round(tables_, garbler_labels_, e_labels, fixed_labels_);
-  return gc::decode_with_map(out_labels, output_map_);
+  const auto out_labels = evaluator_.eval_round(
+      round_.tables, round_.garbler_labels, e_labels, round_.fixed_labels);
+  return gc::decode_with_map(out_labels, round_.output_map);
 }
 
 TwoPartyProtocol::TwoPartyProtocol(const circuit::Circuit& c,
@@ -123,7 +127,8 @@ ProtocolResult TwoPartyProtocol::run(
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   crypto::SystemRandom g_rng;
   crypto::SystemRandom e_rng;
-  GarblerParty garbler(circ_, opt_, *g_ch, g_rng);
+  GarblerParty garbler(RoundSource(circ_, opt_.scheme, g_rng), *g_ch, g_rng,
+                       opt_.ot);
   EvaluatorParty evaluator(circ_, opt_, *e_ch, e_rng);
 
   evaluator.setup_step1();

@@ -6,6 +6,8 @@
 // Parties expose explicit phase methods so a driver (in-process here, a
 // network loop in deployment) controls interleaving; TwoPartyProtocol is
 // the batteries-included in-process driver used by examples and benches.
+// Each round crosses the channel as one v2 round record (round_io.hpp),
+// followed by the OT of the evaluator's input labels.
 #pragma once
 
 #include <cstdint>
@@ -19,42 +21,82 @@
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
 #include "proto/channel.hpp"
+#include "proto/precompute.hpp"
+#include "proto/round_io.hpp"
 
 namespace maxel::proto {
 
-enum class OtMode { kBase, kIknp };
+// The online OT of the evaluator's input labels. The values are the
+// ClientHello `ot` byte on the wire.
+enum class OtMode : std::uint8_t { kBase = 0, kIknp = 1 };
 
 struct ProtocolOptions {
   gc::Scheme scheme = gc::Scheme::kHalfGates;
   OtMode ot = OtMode::kIknp;
 };
 
+// The rounds a GarblerParty serves: a stored PrecomputedSession
+// (precomputed garbling, Sec. 3) or a live CircuitGarbler that garbles
+// each round when it is served and keeps only that round in memory.
+// Both hand out gc::RoundMaterial from garble_round_material(), so a
+// stored garble_session and a live garbler fed the same RNG serve the
+// same bytes.
+class RoundSource {
+ public:
+  explicit RoundSource(PrecomputedSession stored);
+  RoundSource(const circuit::Circuit& c, gc::Scheme scheme,
+              crypto::RandomSource& rng);
+
+  // Material of the next round, valid until the following call. Throws
+  // std::runtime_error once a stored session is exhausted.
+  gc::RoundMaterial& next();
+
+  [[nodiscard]] std::size_t served() const { return served_; }
+  [[nodiscard]] gc::Scheme scheme() const { return session_.scheme; }
+  [[nodiscard]] const crypto::Block& delta() const { return session_.delta; }
+  // Active round-0 DFF state labels; set once round 0 is served.
+  [[nodiscard]] const std::vector<crypto::Block>& initial_state_labels()
+      const {
+    return session_.initial_state_labels;
+  }
+
+ private:
+  std::unique_ptr<gc::CircuitGarbler> live_;  // null: a stored session
+  PrecomputedSession session_;  // stored: every round; live: the current one
+  std::size_t served_ = 0;
+};
+
 class GarblerParty {
  public:
-  GarblerParty(const circuit::Circuit& c, const ProtocolOptions& opt,
-               Channel& ch, crypto::RandomSource& rng);
+  // Runs its own OT sender: base OT per round, or IKNP extension (the
+  // latter needs the setup steps below run against the peer's receiver).
+  GarblerParty(RoundSource rounds, Channel& ch, crypto::RandomSource& rng,
+               OtMode ot);
+  // An external OT sender serves the labels — e.g. a
+  // ot::PrecomputedOtSender over a Beaver pool, which leaves a stored
+  // session's online phase transfer + XOR only.
+  GarblerParty(RoundSource rounds, Channel& ch, ot::OtSender& external_ot);
 
-  // IKNP setup steps owned by this side (no-ops under base OT).
+  // IKNP setup steps owned by this side (no-ops otherwise).
   void setup_step2();
   void setup_step4();
 
-  // Round phase 1: garble, send tables + garbler labels + decode map,
-  // announce OT batch.
+  // Round phase 1: send the next round's record (tables, active garbler
+  // labels, fixed labels, round-0 state labels, decode map) and
+  // announce the OT batch.
   void garble_and_send(const std::vector<bool>& garbler_bits);
   // Round phase 3: complete the OT with the evaluator-input label pairs.
   void finish_ot();
 
-  [[nodiscard]] std::uint64_t rounds() const { return garbler_.rounds_garbled(); }
-  [[nodiscard]] const gc::CircuitGarbler& garbler() const { return garbler_; }
+  [[nodiscard]] std::uint64_t rounds() const { return rounds_.served(); }
 
  private:
-  const circuit::Circuit& circ_;
-  ProtocolOptions opt_;
+  RoundSource rounds_;
   Channel& ch_;
-  gc::CircuitGarbler garbler_;
   std::unique_ptr<ot::BaseOtSender> base_ot_;
   std::unique_ptr<ot::IknpSender> iknp_;
   ot::OtSender* ot_ = nullptr;
+  const gc::RoundMaterial* ot_round_ = nullptr;  // sent, OT not finished
 };
 
 class EvaluatorParty {
@@ -87,11 +129,7 @@ class EvaluatorParty {
   std::unique_ptr<ot::IknpReceiver> iknp_;
   ot::OtReceiver* ot_ = nullptr;
 
-  // Per-round received material.
-  gc::RoundTables tables_;
-  std::vector<crypto::Block> garbler_labels_;
-  std::vector<crypto::Block> fixed_labels_;
-  std::vector<bool> output_map_;
+  WireRound round_;  // the received round, evaluated in phase 4
   bool state_initialized_ = false;
 };
 

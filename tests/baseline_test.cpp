@@ -2,6 +2,9 @@
 // the FPGA-overlay analytic model that form Table 2's comparison columns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "baseline/garbledcpu.hpp"
 #include "baseline/overlay.hpp"
 #include "baseline/overlay_sim.hpp"
@@ -24,10 +27,20 @@ TEST(SoftwareMac, MeasurementIsSane) {
 
 TEST(SoftwareMac, ThroughputDropsWithBitWidth) {
   // MAC AND-count grows ~quadratically, so per-MAC time must grow
-  // steeply from b=8 to b=32 (the paper sees ~15x).
-  const SoftwareMacResult r8 = measure_software_mac(8, 200);
-  const SoftwareMacResult r32 = measure_software_mac(32, 40);
-  EXPECT_GT(r32.time_per_mac_us(), 4.0 * r8.time_per_mac_us());
+  // steeply from b=8 to b=32 (the paper sees ~15x). Each width keeps its
+  // best (minimum) per-MAC time over interleaved repeats, so one
+  // preempted ~10 ms run on a busy host cannot invert the comparison.
+  constexpr int kRepeats = 5;
+  double best8 = std::numeric_limits<double>::infinity();
+  double best32 = best8;
+  SoftwareMacResult r8, r32;
+  for (int i = 0; i < kRepeats; ++i) {
+    r8 = measure_software_mac(8, 200);
+    r32 = measure_software_mac(32, 40);
+    best8 = std::min(best8, r8.time_per_mac_us());
+    best32 = std::min(best32, r32.time_per_mac_us());
+  }
+  EXPECT_GT(best32, 4.0 * best8);
   EXPECT_GT(r32.ands_per_mac, 8 * r8.ands_per_mac);
 }
 
@@ -97,11 +110,17 @@ TEST(Overlay, PerCoreSlowerThanSoftware) {
 
 TEST(SoftwareEvaluation, FasterThanGarbling) {
   // Evaluation needs ~half the hash calls of garbling (half gates: 2 vs
-  // 4 per AND); the evaluator should be at least as fast.
-  const SoftwareMacResult g = measure_software_mac(16, 120);
-  const SoftwareMacResult e = measure_software_evaluation(16, 120);
-  EXPECT_EQ(e.rounds, 120u);
-  EXPECT_GT(e.macs_per_sec(), 0.8 * g.macs_per_sec());
+  // 4 per AND); the evaluator should be at least as fast. Best of
+  // interleaved repeats per side, as in ThroughputDropsWithBitWidth.
+  double best_g = 0, best_e = 0;
+  for (int i = 0; i < 5; ++i) {
+    const SoftwareMacResult g = measure_software_mac(16, 120);
+    const SoftwareMacResult e = measure_software_evaluation(16, 120);
+    EXPECT_EQ(e.rounds, 120u);
+    best_g = std::max(best_g, g.macs_per_sec());
+    best_e = std::max(best_e, e.macs_per_sec());
+  }
+  EXPECT_GT(best_e, 0.8 * best_g);
 }
 
 

@@ -152,10 +152,10 @@ TEST(FaultyChannelUnit, EmptyPlanIsByteIdenticalPassThrough) {
   std::vector<crypto::Block> blocks;
   for (std::uint64_t i = 0; i < 50; ++i) blocks.push_back(crypto::Block{i, ~i});
   fa.send_blocks(blocks);
-  EXPECT_EQ(fb.recv_blocks(), blocks);
+  EXPECT_EQ(fb.recv_blocks(blocks.size()), blocks);
   std::vector<bool> bits = {true, false, true, true, false};
   fa.send_bits(bits);
-  EXPECT_EQ(fb.recv_bits(), bits);
+  EXPECT_EQ(fb.recv_bits(bits.size()), bits);
 
   EXPECT_EQ(inj->faults_fired(), 0u);
   EXPECT_FALSE(fa.transport_dropped());
@@ -818,7 +818,7 @@ TEST(ChaosRecovery, CorruptReusableArtifactDiesTypedWithNoStuckClaim) {
 
   net::ClientHello hello;
   hello.scheme = static_cast<std::uint8_t>(ex.scheme);
-  hello.ot = static_cast<std::uint8_t>(net::OtChoice::kIknp);
+  hello.ot = static_cast<std::uint8_t>(proto::OtMode::kIknp);
   hello.mode = static_cast<std::uint8_t>(net::SessionMode::kReusable);
   hello.bit_width = ex.bit_width;
   hello.circuit_hash = ex.circuit_hash;

@@ -36,7 +36,7 @@ WireChunk make_chunk(const circuit::Circuit& c, std::size_t rounds,
   wc.first_round = first_round;
   for (std::size_t r = 0; r < rounds; ++r) {
     gc::RoundMaterial rm = g.garble_round_material();
-    WireChunk::Round wr;
+    WireRound wr;
     wr.tables = std::move(rm.tables);
     wr.garbler_labels = std::move(rm.garbler_labels0);
     for (std::size_t i = 0; i < wr.garbler_labels.size(); ++i)

@@ -73,9 +73,9 @@ TEST(TcpChannel, LoopbackRoundTrip) {
     // the pending replies, exactly like a protocol phase boundary.
     const std::uint64_t v = ch->recv_u64();
     ch->send_u64(v + 1);
-    const auto blocks = ch->recv_blocks();
+    const auto blocks = ch->recv_blocks(300);
     ch->send_blocks(blocks);
-    const auto bits = ch->recv_bits();
+    const auto bits = ch->recv_bits(99);
     ch->send_bits(bits);
     ch->flush();
   });
@@ -87,7 +87,7 @@ TEST(TcpChannel, LoopbackRoundTrip) {
   std::vector<Block> blocks;
   for (std::uint64_t i = 0; i < 300; ++i) blocks.push_back(Block{i, ~i});
   ch->send_blocks(blocks);
-  const auto echoed = ch->recv_blocks();
+  const auto echoed = ch->recv_blocks(blocks.size());
   ASSERT_EQ(echoed.size(), blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i)
     EXPECT_EQ(echoed[i], blocks[i]) << "block " << i;
@@ -95,7 +95,7 @@ TEST(TcpChannel, LoopbackRoundTrip) {
   std::vector<bool> bits;
   for (int i = 0; i < 99; ++i) bits.push_back((i * 7) % 3 == 0);
   ch->send_bits(bits);
-  EXPECT_EQ(ch->recv_bits(), bits);
+  EXPECT_EQ(ch->recv_bits(bits.size()), bits);
 
   peer.join();
   // A pure echo: payload counters are frame-independent and symmetric.
@@ -286,7 +286,7 @@ ServerExpectation demo_expectation(std::size_t bits) {
 ClientHello demo_hello(const ServerExpectation& ex) {
   ClientHello h;
   h.scheme = static_cast<std::uint8_t>(ex.scheme);
-  h.ot = static_cast<std::uint8_t>(OtChoice::kIknp);
+  h.ot = static_cast<std::uint8_t>(proto::OtMode::kIknp);
   h.bit_width = ex.bit_width;
   h.circuit_hash = ex.circuit_hash;
   return h;
@@ -410,7 +410,8 @@ std::uint64_t in_process_reference(std::size_t bits, std::size_t rounds,
 
   std::thread garbler([&, g = std::move(g_ch)]() mutable {
     crypto::SystemRandom rng(Block{seed, 100});
-    proto::GarblerParty garbler(c, opt, *g, rng);
+    proto::GarblerParty garbler(proto::RoundSource(c, opt.scheme, rng), *g,
+                                rng, opt.ot);
     garbler.setup_step2();
     garbler.setup_step4();
     DemoInputStream a(seed, kGarblerStream, bits);
@@ -474,7 +475,7 @@ TEST(NetService, BaseOtSession) {
   test::TestBroker server(quiet_broker_config(bits, rounds));
 
   ClientConfig ccfg = quiet_client_config(server.port(), bits);
-  ccfg.ot = OtChoice::kBase;
+  ccfg.ot = proto::OtMode::kBase;
   const ClientStats cs = run_client(ccfg);
   server.wait();
 
@@ -552,7 +553,7 @@ TEST(NetService, StreamSessionWithBaseOt) {
 
   ClientConfig cfg = quiet_client_config(server.port(), bits);
   cfg.mode = SessionMode::kStream;
-  cfg.ot = OtChoice::kBase;
+  cfg.ot = proto::OtMode::kBase;
   const ClientStats cs = run_client(cfg);
   server.wait();
 

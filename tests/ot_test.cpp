@@ -377,7 +377,7 @@ TEST(Channel, BitsRoundTrip) {
   const std::vector<bool> bits = {true, false, true, true, false,
                                   false, true, false, true};
   a->send_bits(bits);
-  EXPECT_EQ(b->recv_bits(), bits);
+  EXPECT_EQ(b->recv_bits(bits.size()), bits);
 }
 
 }  // namespace

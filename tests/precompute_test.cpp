@@ -1,9 +1,14 @@
 // Precomputed garbling (Sec. 3's deployment model): sessions are
-// produced offline by garble_session, served online with the exact wire
-// format of the on-demand garbler (the client cannot tell), and labels
-// differ across sessions. Single use of the stored sessions is the
-// spool's job (tests/spool_test.cpp).
+// produced offline by garble_session and served online by the one
+// GarblerParty from a stored RoundSource — the same bytes as a live
+// garbler (the client cannot tell) — and labels differ across sessions.
+// Single use of the stored sessions is the spool's job
+// (tests/spool_test.cpp).
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
@@ -29,9 +34,10 @@ std::uint64_t serve_session(const circuit::Circuit& c,
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   SystemRandom g_rng(Block{1, 1});
   SystemRandom e_rng(Block{1, 2});
-  PrecomputedGarblerParty garbler(std::move(session), *g_ch, g_rng);
+  GarblerParty garbler(RoundSource(std::move(session)), *g_ch, g_rng,
+                       OtMode::kBase);
   ProtocolOptions opt;
-  opt.ot = OtMode::kBase;  // PrecomputedGarblerParty serves base OT
+  opt.ot = OtMode::kBase;
   EvaluatorParty evaluator(c, opt, *e_ch, e_rng);
 
   std::vector<bool> out;
@@ -80,8 +86,9 @@ TEST(PrecomputedServing, ServedSessionExhaustsAfterItsRounds) {
 
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   SystemRandom g_rng(Block{8, 1});
-  PrecomputedGarblerParty garbler(
-      garble_session(c, gc::Scheme::kHalfGates, 1, rng), *g_ch, g_rng);
+  GarblerParty garbler(
+      RoundSource(garble_session(c, gc::Scheme::kHalfGates, 1, rng)), *g_ch,
+      g_rng, OtMode::kBase);
   garbler.garble_and_send(to_bits(3, 4));
   EXPECT_THROW(garbler.garble_and_send(to_bits(3, 4)), std::runtime_error);
 }
@@ -107,7 +114,7 @@ TEST(PrecomputedServing, FullyOfflineServingWithBeaverOt) {
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   ot::PrecomputedOtSender ot_s(*g_ch, pool.sender_pairs);
   ot::PrecomputedOtReceiver ot_r(*e_ch, pool.choices, pool.received);
-  PrecomputedGarblerParty garbler(std::move(session), *g_ch, ot_s);
+  GarblerParty garbler(RoundSource(std::move(session)), *g_ch, ot_s);
   EvaluatorParty evaluator(c, gc::Scheme::kHalfGates, *e_ch, ot_r);
 
   crypto::Prg prg(Block{22, 22});
@@ -123,6 +130,76 @@ TEST(PrecomputedServing, FullyOfflineServingWithBeaverOt) {
     out = evaluator.evaluate_round();
   }
   EXPECT_EQ(circuit::from_bits(out), expect);
+}
+
+// Forwards to `inner` and keeps a copy of every byte this end sends.
+class RecordingChannel final : public Channel {
+ public:
+  explicit RecordingChannel(Channel& inner) : inner_(inner) {}
+  std::vector<std::uint8_t> sent;
+
+ protected:
+  void raw_send(const std::uint8_t* data, std::size_t n) override {
+    sent.insert(sent.end(), data, data + n);
+    inner_.send_bytes(data, n);
+  }
+  void raw_recv(std::uint8_t* data, std::size_t n) override {
+    inner_.recv_bytes(data, n);
+  }
+
+ private:
+  Channel& inner_;
+};
+
+TEST(PrecomputedServing, StoredAndLiveSourcesSendIdenticalStreams) {
+  // Precomputation is invisible on the wire: a GarblerParty serving a
+  // stored garble_session and one garbling live from the same seed send
+  // the same bytes, and the evaluator answers with the same bytes.
+  const MacOptions mac{8, 8, true};
+  const circuit::Circuit c = circuit::make_mac_circuit(mac);
+  constexpr std::size_t kRounds = 5;
+  for (const OtMode ot : {OtMode::kBase, OtMode::kIknp}) {
+    const auto run = [&](bool stored) {
+      auto [g_mem, e_mem] = MemoryChannel::create_pair();
+      RecordingChannel g_ch(*g_mem), e_ch(*e_mem);
+      SystemRandom garble_rng(Block{31, 1});
+      SystemRandom ot_rng(Block{31, 2});
+      SystemRandom e_rng(Block{31, 3});
+      GarblerParty garbler(
+          stored ? RoundSource(garble_session(c, gc::Scheme::kHalfGates,
+                                              kRounds, garble_rng))
+                 : RoundSource(c, gc::Scheme::kHalfGates, garble_rng),
+          g_ch, ot_rng, ot);
+      ProtocolOptions opt;
+      opt.ot = ot;
+      EvaluatorParty evaluator(c, opt, e_ch, e_rng);
+      evaluator.setup_step1();
+      garbler.setup_step2();
+      evaluator.setup_step3();
+      garbler.setup_step4();
+      crypto::Prg prg(Block{32, 32});
+      std::uint64_t expect = 0;
+      std::vector<bool> out;
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const std::uint64_t a = prg.next_u64() & 0xFF;
+        const std::uint64_t x = prg.next_u64() & 0xFF;
+        expect = circuit::mac_reference(expect, a, x, mac);
+        garbler.garble_and_send(to_bits(a, 8));
+        evaluator.receive_and_choose(to_bits(x, 8));
+        garbler.finish_ot();
+        out = evaluator.evaluate_round();
+      }
+      EXPECT_EQ(circuit::from_bits(out), expect);
+      return std::make_pair(g_ch.sent, e_ch.sent);
+    };
+    const auto stored = run(true);
+    const auto live = run(false);
+    EXPECT_FALSE(stored.first.empty());
+    EXPECT_EQ(stored.first, live.first)
+        << "garbler stream, ot=" << static_cast<int>(ot);
+    EXPECT_EQ(stored.second, live.second)
+        << "evaluator stream, ot=" << static_cast<int>(ot);
+  }
 }
 
 TEST(PrecomputedServing, MillionairesEndToEnd) {

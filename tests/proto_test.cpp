@@ -6,7 +6,9 @@
 #include "circuit/builder.hpp"
 #include "circuit/circuits.hpp"
 #include "crypto/prg.hpp"
+#include "crypto/rng.hpp"
 #include "proto/protocol.hpp"
+#include "proto/round_io.hpp"
 
 namespace maxel::proto {
 namespace {
@@ -135,6 +137,53 @@ TEST(TwoParty, MixedPartyXor) {
   TwoPartyProtocol protocol(c);
   RoundInputs r{to_bits(0xA5, 8), to_bits(0x3C, 8)};
   EXPECT_EQ(circuit::from_bits(protocol.run({r}).outputs), 0xA5u ^ 0x3Cu);
+}
+
+// A v2 round record whose counts disagree with the circuit must fail
+// with the typed error before its reader sizes a buffer from the count.
+TEST(RoundRecord, HostileCountsThrowBeforeAllocating) {
+  const Circuit c = circuit::make_mac_circuit(MacOptions{8, 8, true});
+  const std::uint64_t kHugeTables = 1ull << 40;
+  const std::uint64_t kHugeLabels = 1ull << 28;
+  {
+    // Only a table count on the wire.
+    auto [tx, rx] = MemoryChannel::create_pair();
+    tx->send_u64(kHugeTables);
+    std::vector<Block> state;
+    EXPECT_THROW((void)recv_round(*rx, c, gc::Scheme::kHalfGates, &state),
+                 CountMismatchError);
+  }
+  {
+    // A well-formed table section, then a garbler label count alone.
+    auto [tx, rx] = MemoryChannel::create_pair();
+    tx->send_u64(c.and_count());
+    const std::vector<std::uint8_t> tables(
+        c.and_count() * gc::bytes_per_and(gc::Scheme::kHalfGates), 0);
+    tx->send_bytes(tables.data(), tables.size());
+    tx->send_u64(kHugeLabels);
+    std::vector<Block> state;
+    EXPECT_THROW((void)recv_round(*rx, c, gc::Scheme::kHalfGates, &state),
+                 CountMismatchError);
+  }
+  {
+    // The evaluator party reads through the same checks.
+    auto [tx, rx] = MemoryChannel::create_pair();
+    tx->send_u64(kHugeTables);
+    crypto::SystemRandom rng(Block{0xC0, 1});
+    ProtocolOptions opt;
+    opt.ot = OtMode::kBase;
+    EvaluatorParty evaluator(c, opt, *rx, rng);
+    EXPECT_THROW(evaluator.receive_and_choose(to_bits(3, 8)),
+                 CountMismatchError);
+  }
+}
+
+TEST(RoundRecord, CheckedChannelReceiversRejectOtherCounts) {
+  auto [tx, rx] = MemoryChannel::create_pair();
+  tx->send_bits({true, false, true});
+  EXPECT_THROW((void)rx->recv_bits(4), CountMismatchError);
+  tx->send_blocks({Block{1, 2}});
+  EXPECT_THROW((void)rx->recv_blocks(2), CountMismatchError);
 }
 
 }  // namespace

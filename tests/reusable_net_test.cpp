@@ -170,7 +170,7 @@ HandshakePair make_pair_over_loopback(TcpListener& lis) {
 ClientHello reusable_hello(const ServerExpectation& ex) {
   ClientHello h;
   h.scheme = static_cast<std::uint8_t>(ex.scheme);
-  h.ot = static_cast<std::uint8_t>(OtChoice::kIknp);
+  h.ot = static_cast<std::uint8_t>(proto::OtMode::kIknp);
   h.mode = static_cast<std::uint8_t>(SessionMode::kReusable);
   h.bit_width = ex.bit_width;
   h.circuit_hash = ex.circuit_hash;

@@ -22,7 +22,6 @@
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
 #include "gc/reusable.hpp"
-#include "gc/streaming_evaluator.hpp"
 #include "gc/v3.hpp"
 #include "proto/chunk_io.hpp"
 #include "proto/precompute.hpp"
@@ -69,9 +68,9 @@ std::vector<Words> run_plain(const Circuit& c,
 }
 
 // Selects active input labels from a RoundMaterial and evaluates one
-// round on a StreamingEvaluator (the precomputed driver below).
+// round on a planned-layout evaluator (run_precomputed below).
 Words eval_material_round(const gc::RoundMaterial& m, const Block& delta,
-                          const RoundInputs& in, gc::StreamingEvaluator& ev) {
+                          const RoundInputs& in, gc::CircuitEvaluator& ev) {
   std::vector<Block> g(in.garbler_bits.size());
   for (std::size_t i = 0; i < g.size(); ++i)
     g[i] = in.garbler_bits[i] ? m.garbler_labels0[i] ^ delta
@@ -90,7 +89,8 @@ std::vector<Words> run_precomputed(
   SystemRandom rng(Block{seed, 0x9C0});
   const proto::PrecomputedSession s =
       proto::garble_session(c, gc::Scheme::kHalfGates, rounds.size(), rng);
-  gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
+  gc::CircuitEvaluator ev(c, gc::Scheme::kHalfGates,
+                          gc::LabelLayout::kPlanned);
   ev.set_initial_state_labels(s.initial_state_labels);
   std::vector<Words> out;
   for (std::size_t r = 0; r < rounds.size(); ++r)
@@ -107,7 +107,8 @@ std::vector<Words> run_streaming(
   SystemRandom rng(Block{seed, 0x57E});
   gc::CircuitGarbler garbler(c, gc::Scheme::kHalfGates, rng,
                              gc::LabelLayout::kPlanned);
-  gc::StreamingEvaluator ev(c, gc::Scheme::kHalfGates);
+  gc::CircuitEvaluator ev(c, gc::Scheme::kHalfGates,
+                          gc::LabelLayout::kPlanned);
   std::vector<Words> out;
   for (std::size_t first = 0; first < rounds.size(); first += 3) {
     std::vector<std::vector<bool>> a_bits;
@@ -118,7 +119,7 @@ std::vector<Words> run_streaming(
     if (wc.first_round == 0)
       ev.set_initial_state_labels(wc.initial_state_labels);
     for (std::size_t i = 0; i < wc.rounds.size(); ++i) {
-      const proto::WireChunk::Round& wr = wc.rounds[i];
+      const proto::WireRound& wr = wc.rounds[i];
       const RoundInputs& in = rounds[first + i];
       std::vector<Block> e(in.evaluator_bits.size());
       for (std::size_t j = 0; j < e.size(); ++j)
@@ -269,18 +270,26 @@ TEST(ScheduleEquivalence, OptimizePassPreservesNewFamilies) {
   }
 }
 
-TEST(ScheduleEquivalence, PeakLiveWiresEqualsEvaluationPlanSlots) {
-  // circuit::peak_live_wires mirrors the evaluator's slot allocator —
-  // the bench's peak-live metric IS the working-set size, scheduled or
-  // not. The garbler plan additionally pins the protocol wires, so its
-  // slot count dominates the evaluator's.
+TEST(ScheduleEquivalence, PeakLiveWiresEqualsEvaluatorSlots) {
+  // circuit::peak_live_wires is the evaluator's slot count — the
+  // bench's peak-live metric IS the working-set size, scheduled or not.
+  // The garbler plan additionally pins the protocol wires, so its slot
+  // count dominates the evaluator's.
   for (const std::size_t bits : {8u, 16u, 32u}) {
     for (const bool scheduled : {false, true}) {
       Circuit c = circuit::make_mac_circuit(MacOptions{bits, bits, true});
       if (scheduled) c = circuit::schedule_for_locality(c);
-      EXPECT_EQ(circuit::peak_live_wires(c), gc::plan_evaluation(c).num_slots)
+      const std::size_t evaluator_slots =
+          circuit::plan_slots(c, circuit::SlotPins::kNone).num_slots;
+      EXPECT_EQ(circuit::peak_live_wires(c), evaluator_slots)
           << "bits=" << bits << " scheduled=" << scheduled;
-      EXPECT_GE(gc::plan_garbling(c).num_slots, gc::plan_evaluation(c).num_slots)
+      EXPECT_EQ(gc::CircuitEvaluator(c, gc::Scheme::kHalfGates,
+                                     gc::LabelLayout::kPlanned)
+                    .label_buffer_bytes(),
+                evaluator_slots * 16)
+          << "bits=" << bits << " scheduled=" << scheduled;
+      EXPECT_GE(circuit::plan_slots(c, circuit::SlotPins::kProtocol).num_slots,
+                evaluator_slots)
           << "bits=" << bits << " scheduled=" << scheduled;
     }
   }

@@ -60,25 +60,25 @@ struct Scenario {
   const char* name;
   net::SessionMode mode;
   std::uint32_t protocol;
-  net::OtChoice ot;
+  proto::OtMode ot;
   bool fresh_state;  // false: reuse the previous scenario's client state
 };
 
 const Scenario kScenarios[] = {
     {"precomputed-base", net::SessionMode::kPrecomputed,
-     net::kProtocolVersion, net::OtChoice::kBase, true},
+     net::kProtocolVersion, proto::OtMode::kBase, true},
     {"precomputed-iknp", net::SessionMode::kPrecomputed,
-     net::kProtocolVersion, net::OtChoice::kIknp, true},
+     net::kProtocolVersion, proto::OtMode::kIknp, true},
     {"stream", net::SessionMode::kStream, net::kProtocolVersion,
-     net::OtChoice::kIknp, true},
+     proto::OtMode::kIknp, true},
     {"v3-fresh", net::SessionMode::kPrecomputed, net::kProtocolVersionV3,
-     net::OtChoice::kIknp, true},
+     proto::OtMode::kIknp, true},
     {"v3-resumed", net::SessionMode::kPrecomputed, net::kProtocolVersionV3,
-     net::OtChoice::kIknp, false},
+     proto::OtMode::kIknp, false},
     {"reusable-cold", net::SessionMode::kReusable, net::kProtocolVersionV3,
-     net::OtChoice::kIknp, true},
+     proto::OtMode::kIknp, true},
     {"reusable-warm", net::SessionMode::kReusable, net::kProtocolVersionV3,
-     net::OtChoice::kIknp, false},
+     proto::OtMode::kIknp, false},
 };
 
 struct Wire {

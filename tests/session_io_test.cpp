@@ -62,7 +62,8 @@ TEST(SessionIo, ReloadedSessionServesCorrectly) {
   auto [g_ch, e_ch] = MemoryChannel::create_pair();
   SystemRandom g_rng(Block{3, 1});
   SystemRandom e_rng(Block{3, 2});
-  PrecomputedGarblerParty garbler(std::move(reloaded), *g_ch, g_rng);
+  GarblerParty garbler(RoundSource(std::move(reloaded)), *g_ch, g_rng,
+                       OtMode::kBase);
   ProtocolOptions opt;
   opt.ot = OtMode::kBase;
   EvaluatorParty evaluator(c, opt, *e_ch, e_rng);

@@ -1,16 +1,17 @@
-// Streaming (memory-bounded) evaluator: plan validity, equivalence with
-// the dense evaluator on combinational and sequential circuits, working-
-// set compression on MAC netlists, and interplay with the simulator's
-// table stream (the memory-constrained client of Sec. 3).
+// Memory-bounded evaluation: the planned-layout CircuitEvaluator. Slot
+// plan validity, equivalence with the dense evaluator on combinational
+// and sequential circuits, working-set compression on MAC netlists, and
+// interplay with the simulator's table stream (the memory-constrained
+// client of Sec. 3).
 #include <gtest/gtest.h>
 
 #include "circuit/arith_ext.hpp"
 #include "circuit/circuits.hpp"
+#include "circuit/optimize.hpp"
 #include "core/maxelerator.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/rng.hpp"
 #include "gc/garble.hpp"
-#include "gc/streaming_evaluator.hpp"
 
 namespace maxel::gc {
 namespace {
@@ -21,9 +22,10 @@ using crypto::Block;
 using crypto::Prg;
 using crypto::SystemRandom;
 
-TEST(EvaluationPlan, SlotsCoverEveryWireWithoutConflicts) {
+TEST(SlotPlan, SlotsCoverEveryWireWithoutConflicts) {
   const Circuit c = circuit::make_multiplier_circuit(MacOptions{16, 16, true});
-  const EvaluationPlan plan = plan_evaluation(c);
+  const circuit::SlotPlan plan =
+      circuit::plan_slots(c, circuit::SlotPins::kNone);
   ASSERT_EQ(plan.slot_of_wire.size(), c.num_wires);
   for (const auto s : plan.slot_of_wire) EXPECT_LT(s, plan.num_slots);
   EXPECT_LT(plan.num_slots, c.num_wires);  // reuse must happen
@@ -51,7 +53,7 @@ TEST(EvaluationPlan, SlotsCoverEveryWireWithoutConflicts) {
     claim(c.gates[i].out, static_cast<std::int64_t>(i));
 }
 
-TEST(StreamingEvaluator, MatchesDenseEvaluatorOnCombinational) {
+TEST(PlannedEvaluator, MatchesDenseEvaluatorOnCombinational) {
   const Circuit c = circuit::make_divider_circuit(8);
   SystemRandom rng(Block{0x517, 1});
   CircuitGarbler garbler(c, Scheme::kHalfGates, rng);
@@ -65,18 +67,18 @@ TEST(StreamingEvaluator, MatchesDenseEvaluatorOnCombinational) {
     e_labels.push_back(prg.next_bit() ? l1 : l0);
   }
   CircuitEvaluator dense(c, Scheme::kHalfGates);
-  StreamingEvaluator streaming(c, Scheme::kHalfGates);
+  CircuitEvaluator streaming(c, Scheme::kHalfGates, LabelLayout::kPlanned);
   const auto fixed = garbler.fixed_wire_labels();
   EXPECT_EQ(streaming.eval_round(tables, g_labels, e_labels, fixed),
             dense.eval_round(tables, g_labels, e_labels, fixed));
 }
 
-TEST(StreamingEvaluator, SequentialMacAcrossRounds) {
+TEST(PlannedEvaluator, SequentialMacAcrossRounds) {
   const MacOptions opt{8, 8, true};
   const Circuit c = circuit::make_mac_circuit(opt);
   SystemRandom rng(Block{0x517, 3});
   CircuitGarbler garbler(c, Scheme::kHalfGates, rng);
-  StreamingEvaluator evaluator(c, Scheme::kHalfGates);
+  CircuitEvaluator evaluator(c, Scheme::kHalfGates, LabelLayout::kPlanned);
 
   Prg prg(Block{0x517, 4});
   std::uint64_t expect = 0;
@@ -101,26 +103,28 @@ TEST(StreamingEvaluator, SequentialMacAcrossRounds) {
   EXPECT_EQ(circuit::from_bits(decoded), expect);
 }
 
-TEST(StreamingEvaluator, CompressesMacWorkingSet) {
+TEST(PlannedEvaluator, CompressesMacWorkingSet) {
   // The Sec. 3 point: a memory-constrained client should not need a
   // label per wire. For the 32-bit MAC, expect >= 4x compression.
   const Circuit c = circuit::make_mac_circuit(MacOptions{32, 32, true});
-  const EvaluationPlan plan = plan_evaluation(c);
+  const circuit::SlotPlan plan =
+      circuit::plan_slots(c, circuit::SlotPins::kNone);
   EXPECT_GT(plan.compression(), 4.0)
       << plan.num_slots << " slots for " << plan.num_wires << " wires";
-  StreamingEvaluator ev(c, Scheme::kHalfGates);
-  EXPECT_EQ(ev.working_set_bytes(), plan.num_slots * 16);
-  EXPECT_LT(ev.working_set_bytes(), c.num_wires * 16 / 4);
+  CircuitEvaluator ev(c, Scheme::kHalfGates, LabelLayout::kPlanned);
+  EXPECT_EQ(ev.label_buffer_bytes(), plan.num_slots * 16);
+  EXPECT_LT(ev.label_buffer_bytes(), c.num_wires * 16 / 4);
 }
 
-TEST(StreamingEvaluator, DecodesTheAcceleratorStream) {
+TEST(PlannedEvaluator, DecodesTheAcceleratorStream) {
   // Memory-constrained client against the hardware table stream.
   const std::size_t b = 8;
   core::MaxeleratorConfig cfg;
   cfg.bit_width = b;
   SystemRandom rng(Block{0x517, 5});
   core::MaxeleratorSim sim(cfg, rng);
-  StreamingEvaluator evaluator(sim.netlist(), Scheme::kHalfGates);
+  CircuitEvaluator evaluator(sim.netlist(), Scheme::kHalfGates,
+                             LabelLayout::kPlanned);
 
   Prg prg(Block{0x517, 6});
   const circuit::MacOptions ref{b, b, true};
@@ -150,13 +154,13 @@ TEST(StreamingEvaluator, DecodesTheAcceleratorStream) {
   EXPECT_EQ(circuit::from_bits(decode_with_map(out_labels, out_map)), expect);
 }
 
-TEST(StreamingEvaluator, TableUnderrunDetected) {
+TEST(PlannedEvaluator, TableUnderrunDetected) {
   const Circuit c = circuit::make_multiplier_circuit(MacOptions{8, 8, true});
   SystemRandom rng(Block{0x517, 7});
   CircuitGarbler garbler(c, Scheme::kHalfGates, rng);
   RoundTables tables = garbler.garble_round();
   tables.tables.pop_back();
-  StreamingEvaluator ev(c, Scheme::kHalfGates);
+  CircuitEvaluator ev(c, Scheme::kHalfGates, LabelLayout::kPlanned);
   std::vector<Block> g, e;
   for (std::size_t i = 0; i < 8; ++i) {
     g.push_back(garbler.garbler_input_label(i, false));

@@ -52,7 +52,7 @@ TEST(ThreadedProtocol, SequentialMacAcrossThreads) {
 
   std::thread garbler_thread([&, g = std::move(g_ch)]() mutable {
     SystemRandom rng(Block{0x7EAD, 2});
-    GarblerParty garbler(c, opt, *g, rng);
+    GarblerParty garbler(RoundSource(c, opt.scheme, rng), *g, rng, opt.ot);
     garbler.setup_step2();
     garbler.setup_step4();
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -88,7 +88,7 @@ TEST(ThreadedProtocol, MillionairesWithBaseOt) {
 
   std::thread garbler_thread([&, g = std::move(g_ch)]() mutable {
     SystemRandom rng(Block{0x7EAE, 1});
-    GarblerParty garbler(c, opt, *g, rng);
+    GarblerParty garbler(RoundSource(c, opt.scheme, rng), *g, rng, opt.ot);
     garbler.garble_and_send(to_bits(31337, 16));
     garbler.finish_ot();
   });
